@@ -15,16 +15,22 @@ import argparse
 import io
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .clustering import RoughParams, fsrk_kmeans, kmeans, rough_kmeans
+from .clustering import (
+    DEFAULT_FSRK_EPSILON,
+    DEFAULT_ROUGH_EPSILON,
+    RoughParams,
+    fsrk_kmeans,
+    kmeans,
+    rough_kmeans,
+)
 from .errors import GeneClusterError, ParameterError, PipelineError, ValidityError
 from .fuzzysoft import KINDS, fuzzify
 from .genefilter import DiscretizationSpec, rank_and_select, write_ranking
-from .ingest import parse_labels, parse_matrix
+from .ingest import _atomic_write, _write_csv, parse_labels, parse_matrix
 from .validity import ValidityReport, crispify, db_index, sum_squared_error, xb_index
 
 __all__ = ["ExperimentConfig", "run_experiment", "compare", "main"]
@@ -32,6 +38,7 @@ __all__ = ["ExperimentConfig", "run_experiment", "compare", "main"]
 log = logging.getLogger("genecluster")
 
 ALGORITHMS = ("kmeans", "rough", "fsrk")
+_DEFAULT_EPSILON = {"rough": DEFAULT_ROUGH_EPSILON, "fsrk": DEFAULT_FSRK_EPSILON}
 
 
 @dataclass
@@ -114,14 +121,7 @@ def _assignment_rows(algorithm, gene_ids, crisp, result):
             for i in sorted(result.boundary(h)):
                 rows.append((i, h, gene_ids[i], "boundary"))
         rows.sort()
-    return [f"{gid},{h},{kind}" for _, h, gid, kind in rows]
-
-
-def _atomic_write(path: Path, text: str):
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    return [(gid, h, kind) for _, h, gid, kind in rows]
 
 
 def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
@@ -151,11 +151,14 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
         fuzzy = _stage("fuzzify", fuzzify, filtered, config.fuzzify)
 
     reports: list[ValidityReport] = []
-    assignment_files: dict[str, list[str]] = {}
+    assignment_files: dict[str, list[tuple]] = {}
     raw = filtered.values
     fuzzy_values = fuzzy.values if fuzzy is not None else None
     for algorithm in config.algorithms:
         log.info("stage cluster: %s, k=%d, %d restart(s)", algorithm, config.k, config.restarts)
+        epsilon = None
+        if algorithm in _DEFAULT_EPSILON:
+            epsilon = _DEFAULT_EPSILON[algorithm] if config.epsilon is None else config.epsilon
         best = None
         for restart in range(config.restarts):
             params = RoughParams(
@@ -190,7 +193,7 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
                     "k": config.k,
                     "w_lower": config.w_lower,
                     "w_upper": config.w_upper,
-                    "epsilon": config.epsilon,
+                    "epsilon": epsilon,
                     "max_iter": config.max_iter,
                     "tol": config.tol,
                     "seed": config.seed + restart,
@@ -211,18 +214,19 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
 
     log.info("stage report: writing to %s", config.out)
     config.out.mkdir(parents=True, exist_ok=True)
-    ranking_buf = io.StringIO()
-    write_ranking(ranking, matrix.gene_ids, ranking_buf)
-    _atomic_write(config.out / "ranking.csv", ranking_buf.getvalue())
-    for algorithm, lines in assignment_files.items():
-        text = "\n".join(["gene_id,cluster,membership_kind", *lines]) + "\n"
-        _atomic_write(config.out / f"assignments-{algorithm}.csv", text)
-    header = "dataset,algorithm,db_index,xb_index,sse,iterations"
-    csv_rows = [
-        f"{r.dataset},{r.algorithm},{r.db_index:.6f},{r.xb_index:.6f},{r.sse:.6f},{r.iterations}"
-        for r in reports
-    ]
-    _atomic_write(config.out / "report.csv", "\n".join([header, *csv_rows]) + "\n")
+    write_ranking(ranking, matrix.gene_ids, config.out / "ranking.csv")
+    for algorithm, rows in assignment_files.items():
+        _write_csv(config.out / f"assignments-{algorithm}.csv",
+                   ("gene_id", "cluster", "membership_kind"), rows)
+    _write_csv(
+        config.out / "report.csv",
+        ("dataset", "algorithm", "db_index", "xb_index", "sse", "iterations"),
+        (
+            (r.dataset, r.algorithm, f"{r.db_index:.6f}", f"{r.xb_index:.6f}",
+             f"{r.sse:.6f}", r.iterations)
+            for r in reports
+        ),
+    )
     _atomic_write(
         config.out / "report.json",
         json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True) + "\n",
@@ -254,7 +258,6 @@ def compare(reports) -> tuple[str, str]:
 
     header = ("dataset", "algorithm", "db_index", "xb_index", "sse", "iterations", "best")
     table = [header]
-    csv_lines = [",".join(header)]
     for r in ordered:
         flag = "*" if id(r) in best else ""
         cells = (
@@ -267,13 +270,14 @@ def compare(reports) -> tuple[str, str]:
             flag,
         )
         table.append(cells)
-        csv_lines.append(",".join(cells))
     widths = [max(len(row[c]) for row in table) for c in range(len(header))]
     text_lines = [
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
         for row in table
     ]
-    return "\n".join(text_lines), "\n".join(csv_lines) + "\n"
+    csv_text = io.StringIO()
+    _write_csv(csv_text, header, table[1:])
+    return "\n".join(text_lines), csv_text.getvalue()
 
 
 def _load_config_file(path: Path) -> dict:

@@ -4,7 +4,8 @@ Genes are ranked by the information gain between their discretized expression
 profile and the sample class variable, IG = H(X) + H(Y) - H(X, Y), with all
 entropies in bits. Continuous expression rows are discretized per gene with
 equal-width bins over the observed [min, max]; the default bin count follows
-the Sturges rule, ceil(log2(m)) + 1.
+the Sturges rule, ceil(log2(m)) + 1. All genes are scored by one batched
+kernel, and genes whose IG is exactly equal get bit-equal scores.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .ingest import ClassLabels, ExpressionMatrix
+from .ingest import ClassLabels, ExpressionMatrix, _write_csv
 
 __all__ = [
     "DiscretizationSpec",
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-9
+# Genes are scored in row blocks of about this many matrix cells, so the
+# kernel's temporaries stay under 2 MB whatever the number of genes.
+_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,8 @@ class GeneRanking:
     """Per-gene information-gain scores plus the descending-score gene order.
 
     Ties in score are broken by original gene index, ascending, so the
-    ranking is deterministic.
+    ranking is deterministic. Ties are exact: genes whose information gain
+    is the same rational value get bit-equal scores.
     """
 
     scores: np.ndarray
@@ -99,6 +104,23 @@ def entropy(distribution) -> float:
     return max(0.0, float(-np.sum(nz * np.log2(nz))))
 
 
+def _bin_codes(values, bin_count: int) -> np.ndarray:
+    """Row-wise equal-width bin codes of a 2-D array with at least one column.
+
+    Each row is binned over its own [min, max]; the arithmetic runs in place
+    on one float copy of ``values``.
+    """
+    lo = values.min(axis=1, keepdims=True)
+    span = values.max(axis=1, keepdims=True) - lo
+    span[span == 0] = 1.0  # a constant row is all zeros once lo is subtracted
+    codes = values - lo
+    codes *= bin_count
+    codes /= span
+    np.floor(codes, out=codes)
+    np.minimum(codes, bin_count - 1, out=codes)
+    return codes.astype(np.int64)
+
+
 def bin_indices(values, bin_count: int) -> np.ndarray:
     """Equal-width bin codes for a 1-D vector over its own [min, max].
 
@@ -112,48 +134,103 @@ def bin_indices(values, bin_count: int) -> np.ndarray:
         raise ParameterError(f"bin_count must be >= 1, got {bin_count}")
     if v.size == 0:
         return np.zeros(0, dtype=np.int64)
-    lo, hi = float(v.min()), float(v.max())
-    if hi == lo:
-        return np.zeros(v.shape, dtype=np.int64)
-    codes = np.floor((v - lo) * bin_count / (hi - lo)).astype(np.int64)
-    return np.clip(codes, 0, bin_count - 1)
+    return _bin_codes(v[None, :], bin_count)[0]
 
 
-def _counts_entropy(counts) -> float:
-    """Entropy in bits of a (possibly multi-dimensional) count array."""
-    c = np.asarray(counts, dtype=float)
-    c = c[c > 0]
-    p = c / c.sum()
-    return float(-np.sum(p * np.log2(p)))
+def _joint_counts(codes, classes, n_bins: int, n_classes: int) -> np.ndarray:
+    """(n, n_bins, n_classes) counts of each row's codes against ``classes``.
+
+    ``codes`` is an (n, m) int64 array of codes in [0, n_bins); it is
+    overwritten with flat (row, code, class) cell indices for one bincount.
+    """
+    n = codes.shape[0]
+    cells = n * n_bins * n_classes
+    codes *= n_classes
+    codes += classes
+    codes += np.arange(0, cells, n_bins * n_classes)[:, None]
+    return np.bincount(codes.ravel(), minlength=cells).reshape(n, n_bins, n_classes)
 
 
-def _ig_from_joint(joint) -> float:
-    hx = _counts_entropy(joint.sum(axis=1))
-    hy = _counts_entropy(joint.sum(axis=0))
-    hxy = _counts_entropy(joint)
-    return max(0.0, hx + hy - hxy)
+def _prime_exponents(values):
+    """(p, exponent of p in each entry) for every prime dividing some entry.
+
+    Primes come in ascending order; entries 0 and 1 have no prime factors.
+    Only the given entries are factorised, by trial division up to the
+    square root of the largest, so no table sized by the largest is built.
+    """
+    rest = np.maximum(values, 1)
+    found = []
+    p = 2
+    while p * p <= rest.max():
+        exponent = np.zeros_like(rest)
+        while True:
+            hit = rest % p == 0
+            if not hit.any():
+                break
+            exponent += hit
+            rest[hit] //= p
+        if exponent.any():
+            found.append((p, exponent))
+        p += 1  # composites never divide: their prime factors are already gone
+    # what is left is 1 or a prime larger than every p tried above
+    for q in sorted(set(rest[rest > 1].tolist())):
+        found.append((q, (rest == q).astype(rest.dtype)))
+    return found
+
+
+def _information_gain(joint) -> np.ndarray:
+    """Information gain in bits of each table in an (n, B, C) stack of counts.
+
+    With N the table total, IG = log2(R) / N for the rational
+
+        R = prod n_ij^n_ij * N^N / (prod n_i^n_i * prod n_j^n_j),
+
+    so two tables with the same N have equal IG exactly when their R are
+    equal. Each table's key is the integer exponent vector of R over the
+    primes dividing any count, built one prime at a time, and its score is
+    accumulated from that key in ascending prime order: equal keys give
+    bit-equal scores. Only the distinct count values present are factorised.
+    """
+    n, b, c = joint.shape
+    # every count in R, one row per table, with the sign of its exponent
+    cells = np.empty((n, b * c + b + c + 1), dtype=np.int64)
+    cells[:, : b * c] = joint.reshape(n, b * c)
+    joint.sum(axis=2, out=cells[:, b * c : b * c + b])
+    joint.sum(axis=1, out=cells[:, b * c + b : -1])
+    cells[:, -1] = cells[:, b * c + b : -1].sum(axis=1)
+    totals = cells[:, -1].astype(float)
+    sign = np.ones(cells.shape[1], dtype=np.int64)
+    sign[b * c : -1] = -1
+    values, at = np.unique(cells, return_inverse=True)
+    at = at.reshape(cells.shape)
+    gain = np.zeros(n)
+    for p, exponent in _prime_exponents(values):
+        gain += ((values * exponent)[at] @ sign) * math.log2(p)
+    gain /= totals
+    return np.maximum(gain, 0.0, out=gain)
 
 
 def discrete_information_gain(x, y) -> float:
     """Information gain in bits between two aligned discrete sequences."""
     x = np.asarray(x)
     y = np.asarray(y)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ShapeError(f"aligned 1-D sequences required, got {x.shape} and {y.shape}")
-    _, xi = np.unique(x, return_inverse=True)
-    _, yi = np.unique(y, return_inverse=True)
-    joint = np.zeros((int(xi.max()) + 1, int(yi.max()) + 1))
-    np.add.at(joint, (xi, yi), 1.0)
-    return _ig_from_joint(joint)
+    if x.ndim != 1 or x.shape != y.shape or x.size == 0:
+        raise ShapeError(
+            f"aligned non-empty 1-D sequences required, got {x.shape} and {y.shape}"
+        )
+    x_values, xi = np.unique(x, return_inverse=True)
+    y_values, yi = np.unique(y, return_inverse=True)
+    joint = _joint_counts(xi[None, :], yi, len(x_values), len(y_values))
+    return float(_information_gain(joint)[0])
 
 
 def _class_vector(labels) -> np.ndarray:
+    """Per-sample class codes 0..C-1 from ClassLabels or a sequence of tags."""
     if isinstance(labels, ClassLabels):
-        if labels.n_classes < 2:
-            raise DegenerateLabelsError("information gain needs at least 2 classes")
-        return labels.class_indices()
-    y = np.asarray(labels)
-    if len(np.unique(y)) < 2:
+        y = labels.class_indices()
+    else:
+        y = np.unique(np.asarray(labels), return_inverse=True)[1]
+    if y.size == 0 or y.max() < 1:
         raise DegenerateLabelsError("information gain needs at least 2 classes")
     return y
 
@@ -180,8 +257,8 @@ def rank_and_select(
     """Rank all genes by information gain and keep the ``top_n`` best.
 
     The returned sub-matrix holds exactly the top_n genes by descending IG
-    (ties by original index), in their original relative order; the sample
-    axis is untouched.
+    (exact ties by original index), in their original relative order; the
+    sample axis is untouched.
     """
     n = matrix.n_genes
     if not 1 <= top_n <= n:
@@ -190,15 +267,14 @@ def rank_and_select(
     if y.shape != (matrix.n_samples,):
         raise ValidationError("labels do not cover the matrix's samples")
 
-    bins = spec.bin_count
-    n_classes = int(y.max()) + 1
-    scores = np.empty(n, dtype=float)
-    joint = np.zeros((bins, n_classes))
-    for i in range(n):
-        joint[:] = 0.0
-        np.add.at(joint, (bin_indices(matrix.values[i], bins), y), 1.0)
-        scores[i] = _ig_from_joint(joint)
-
+    bins, n_classes = spec.bin_count, int(y.max()) + 1
+    scores = np.empty(n)
+    rows = max(1, _BLOCK_CELLS // matrix.n_samples)
+    for start in range(0, n, rows):
+        codes = _bin_codes(matrix.values[start : start + rows], bins)
+        scores[start : start + rows] = _information_gain(
+            _joint_counts(codes, y, bins, n_classes)
+        )
     order = np.argsort(-scores, kind="stable")
     ranking = GeneRanking(scores, order)
     keep = np.sort(order[:top_n])
@@ -212,12 +288,8 @@ def rank_and_select(
 
 def write_ranking(ranking: GeneRanking, gene_ids, dest) -> None:
     """Dump a ranking as CSV rows of gene_id, ig_bits, rank (1-based)."""
-    lines = ["gene_id,ig_bits,rank"]
-    for rank, idx in enumerate(ranking.order, start=1):
-        lines.append(f"{gene_ids[idx]},{float(ranking.scores[idx])!r},{rank}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    rows = (
+        (gene_ids[idx], repr(float(ranking.scores[idx])), rank)
+        for rank, idx in enumerate(ranking.order, start=1)
+    )
+    _write_csv(dest, ("gene_id", "ig_bits", "rank"), rows)

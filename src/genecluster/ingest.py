@@ -10,15 +10,21 @@ header row), laid out genes-as-rows:
 
 The corner cell is optional; its presence is inferred from the width of the
 body rows. Label files are two columns per line: ``sample_id <delim> class``.
-Both UTF-8 with LF or CRLF line endings are accepted. Missing or non-numeric
+Both UTF-8 (with or without a byte-order mark) with LF or CRLF line endings
+are accepted. Missing or non-numeric
 cells are rejected rather than imputed, since every downstream computation
 assumes complete data.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+import os
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -42,7 +48,7 @@ def _read_lines(source) -> list[str]:
     if hasattr(source, "read"):
         text = source.read()
     else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -231,19 +237,54 @@ def parse_labels(source, matrix: ExpressionMatrix, delimiter: str | None = None)
     return labels
 
 
+def _atomic_write(path, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8) through a unique temp file beside it.
+
+    A concurrent writer to the same path never shares the temp file, and a
+    failed write removes it and leaves ``path`` untouched.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    try:
+        # mkstemp creates the file 0600; give it the mode open() would have
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_csv(dest, header, rows, delimiter: str = ",") -> None:
+    """Write a header and rows of cells as delimited text: LF line ends, minimal quoting.
+
+    A cell holding the delimiter, a double quote or a line break is quoted,
+    so every row keeps its field count. ``rows`` may be any iterable. ``dest``
+    is an open text stream or a path; a path is replaced atomically.
+    """
+    if hasattr(dest, "write"):
+        writer = csv.writer(dest, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return
+    buf = io.StringIO()
+    _write_csv(buf, header, rows, delimiter)
+    _atomic_write(dest, buf.getvalue())
+
+
 def write_matrix(matrix, dest, delimiter: str = "\t") -> None:
     """Write a matrix in the same delimited layout :func:`parse_matrix` reads.
 
     Values are formatted with shortest round-trip ``repr``, so a written file
     parses back bit-identically. Works for any object exposing ``gene_ids``,
-    ``sample_ids``, and ``values`` (membership matrices included).
+    ``sample_ids``, and ``values`` (membership matrices included). An id
+    holding the delimiter, a double quote or a line break is written quoted,
+    which :func:`parse_matrix` does not undo.
     """
-    lines = [delimiter.join(("gene_id", *matrix.sample_ids))]
-    for gid, row in zip(matrix.gene_ids, matrix.values):
-        lines.append(delimiter.join((gid, *(repr(float(v)) for v in row))))
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    rows = (
+        (gid, *(repr(float(v)) for v in row)) for gid, row in zip(matrix.gene_ids, matrix.values)
+    )
+    _write_csv(dest, ("gene_id", *matrix.sample_ids), rows, delimiter)

@@ -1,10 +1,13 @@
+import csv
 import json
 import logging
+import os
 
 import numpy as np
 import pytest
 
 from genecluster.cli import ExperimentConfig, compare, main, run_experiment
+from genecluster.clustering import DEFAULT_FSRK_EPSILON, DEFAULT_ROUGH_EPSILON
 from genecluster.errors import ParameterError, PipelineError
 from genecluster.validity import ValidityReport
 
@@ -157,6 +160,48 @@ class TestRunExperiment:
         run_experiment(config)
         rows = json.loads((out / "report.json").read_text())
         assert rows[0]["params"]["epsilon"] == 1.4
+
+    def test_default_epsilon_is_echoed_per_engine(self, small_dataset, tmp_path):
+        matrix_path, labels_path, _ = small_dataset
+        out = tmp_path / "out"
+        run_experiment(make_config(matrix_path, labels_path, out))
+        rows = json.loads((out / "report.json").read_text())
+        assert {r["algorithm"]: r["params"]["epsilon"] for r in rows} == {
+            "kmeans": None, "rough": DEFAULT_ROUGH_EPSILON, "fsrk": DEFAULT_FSRK_EPSILON,
+        }
+
+    def test_ids_with_delimiters_stay_one_field(self, small_dataset, tmp_path):
+        matrix_path, labels_path, _ = small_dataset
+        text = matrix_path.read_text().replace("\ng0\t", '\nHLA-DRB1,3\t')
+        text = text.replace("\ng1\t", '\nsay "g1"\t')
+        odd = tmp_path / "odd.tsv"
+        odd.write_text(text)
+        out = tmp_path / "out"
+        run_experiment(make_config(odd, labels_path, out, top_genes=12, dataset="demo,v2"))
+        widths = {"ranking.csv": 3, "report.csv": 6, "assignments-kmeans.csv": 3,
+                  "assignments-rough.csv": 3, "assignments-fsrk.csv": 3}
+        for name, width in widths.items():
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert {len(r) for r in rows} == {width}, name
+            if name == "report.csv":
+                assert {r[0] for r in rows[1:]} == {"demo,v2"}
+            else:
+                assert {"HLA-DRB1,3", 'say "g1"'} <= {r[0] for r in rows[1:]}, name
+
+    def test_temp_files_unique_and_cleaned_up(self, small_dataset, tmp_path):
+        matrix_path, labels_path, _ = small_dataset
+        out = tmp_path / "out"
+        out.mkdir()
+        stale = out / "ranking.csv.tmp"
+        stale.write_text("stale\n")
+        run_experiment(make_config(matrix_path, labels_path, out))
+        run_experiment(make_config(matrix_path, labels_path, out))
+        assert stale.read_text() == "stale\n"
+        assert sorted(os.listdir(out)) == sorted([
+            "assignments-fsrk.csv", "assignments-kmeans.csv", "assignments-rough.csv",
+            "ranking.csv", "ranking.csv.tmp", "report.csv", "report.json",
+        ])
 
     def test_epsilon_invalid_for_engine_is_stage_tagged(self, small_dataset, tmp_path):
         matrix_path, labels_path, _ = small_dataset

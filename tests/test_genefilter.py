@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import write_dataset
 from genecluster.errors import (
     DegenerateLabelsError,
     InvalidDistributionError,
@@ -19,7 +20,7 @@ from genecluster.genefilter import (
     rank_and_select,
     write_ranking,
 )
-from genecluster.ingest import ClassLabels, ExpressionMatrix
+from genecluster.ingest import ClassLabels, ExpressionMatrix, parse_labels, parse_matrix
 
 
 class TestEntropy:
@@ -219,6 +220,43 @@ class TestRankAndSelect:
         labels = build_labels(["A", "B"] * 4)
         _, sub = rank_and_select(matrix, labels, DiscretizationSpec(4), 12)
         assert (sub.n_genes, sub.n_samples) == (12, 8)
+
+
+class TestExactTies:
+    # Tables [[4,1],[0,2],[0,1]] and [[4,1],[0,0],[0,3]]: not permutations of
+    # each other, yet 4^4 2^2 / (5^5 2^2) == 4^4 3^3 / (5^5 3^3) exactly.
+    TIED_ROWS = ([0, 0, 0, 0, 0, 5, 5, 9], [0, 0, 0, 0, 0, 9, 9, 9])
+    CLASSES = list("AAAABBBB")
+
+    @pytest.mark.parametrize("rows", [TIED_ROWS, TIED_ROWS[::-1]])
+    def test_equal_rational_gain_ranks_by_index(self, rows):
+        ratios = [oracles.exact_gain_ratio(r, self.CLASSES, 3) for r in rows]
+        assert ratios[0] == ratios[1]
+        ranking, _ = rank_and_select(
+            build_matrix(rows), build_labels(self.CLASSES), DiscretizationSpec(3), 1
+        )
+        assert ranking.order.tolist() == [0, 1]
+        assert ranking.scores[0] == ranking.scores[1]
+
+    def test_full_order_matches_exact_oracle(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        n, m = 2000, 34
+        classes = ["ALL"] * 22 + ["AML"] * 12
+        rng.shuffle(classes)
+        shift = np.where(np.array(classes) == "AML", 1.0, 0.0)
+        log2 = rng.normal(7.0, 1.5, size=(n, 1)) + rng.normal(0.0, 0.5, size=(n, m))
+        log2[: n // 10] += rng.normal(0.0, 1.0, size=(n // 10, 1)) * shift
+        values = np.round(np.exp2(log2) + rng.normal(0.0, 20.0, size=(n, m)))
+        matrix_path, labels_path = write_dataset(tmp_path, values, classes)
+        matrix = parse_matrix(matrix_path)
+        labels = parse_labels(labels_path, matrix)
+        bins = DiscretizationSpec.sturges(m)
+        ranking, _ = rank_and_select(matrix, labels, bins, 100)
+        expected = oracles.exact_ig_order(values.tolist(), classes, bins.bin_count)
+        assert ranking.order.tolist() == expected
+        for i in range(0, n, 97):
+            want = oracles.info_gain_binned(values[i].tolist(), classes, bins.bin_count)
+            assert abs(ranking.scores[i] - want) <= 1e-12
 
 
 class TestGeneRankingType:

@@ -135,6 +135,18 @@ class TestExpressionMatrixInvariants:
             ExpressionMatrix(("g1",), ("s1",), [[np.inf]])
 
 
+class TestByteOrderMark:
+    def test_bom_before_header_without_corner_cell(self, tmp_path):
+        matrix_path = tmp_path / "bom.tsv"
+        matrix_path.write_bytes(b"\xef\xbb\xbfs0\ts1\ng1\t1\t2\ng2\t3\t4\n")
+        labels_path = tmp_path / "bom-labels.tsv"
+        labels_path.write_bytes(b"\xef\xbb\xbfs0\tALL\r\ns1\tAML\r\n")
+        m = parse_matrix(matrix_path)
+        assert m.sample_ids == ("s0", "s1")
+        labels = parse_labels(labels_path, m)
+        assert labels.labels == {"s0": "ALL", "s1": "AML"}
+
+
 class TestRoundTrip:
     def test_simple_round_trip(self):
         m = parse_matrix(io.StringIO(matrix_text([("g1", 0.1, -2.5), ("g2", 1e-17, 3)])))
@@ -144,6 +156,12 @@ class TestRoundTrip:
         assert again.gene_ids == m.gene_ids
         assert again.sample_ids == m.sample_ids
         assert np.array_equal(again.values, m.values)
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        m = ExpressionMatrix(("g1", "bad\ud800"), ("s1",), [[1.0], [2.0]])
+        with pytest.raises(UnicodeEncodeError):
+            write_matrix(m, tmp_path / "m.tsv")
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=50, deadline=None)
     @given(
