@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -6,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import write_dataset
 from genecluster.cli import ExperimentConfig, compare, main, run_experiment
 from genecluster.clustering import DEFAULT_FSRK_EPSILON, DEFAULT_ROUGH_EPSILON
 from genecluster.errors import ParameterError, PipelineError
@@ -238,6 +240,36 @@ class TestRunExperiment:
             assert r.iterations >= 1
         lines = (out / "ranking.csv").read_text().splitlines()
         assert len(lines) == n + 1
+
+
+# sha256 of the outputs of a seeded 300x20 run, all three engines at k=3 with
+# 2 restarts. report.json is left out: its full-precision floats may differ in
+# the last digit on another CPU, while these files round or hold no floats.
+PINNED_SHA256 = {
+    "report.csv": "50200c849e44b0e13036da670a1b6865ca96c835a3d8224e93ba5135a36bfcb8",
+    "assignments-kmeans.csv": "50ef9883a8677419582d705264540d693d5274e40f386f1a5ab8a178cf41eb8b",
+    "assignments-rough.csv": "956e4580b922cef2afd5c9c5fdb38149d49902fb52c7ce04de3eb0936b822dc8",
+    "assignments-fsrk.csv": "616df162368f034589ed6d1d0232e2a05764ef0a7bbee805e1f145f2bdbdcf15",
+}
+
+
+def test_pinned_output_bytes(tmp_path):
+    rng = np.random.default_rng(3)
+    centers = rng.normal(0.0, 1.0, size=(3, 20))
+    group = rng.integers(0, 3, size=300)
+    values = centers[group] + rng.normal(0.0, 1.5, size=(300, 20))
+    matrix_path, labels_path = write_dataset(
+        tmp_path, values, ["A"] * 10 + ["B"] * 10, stem="pin"
+    )
+    out = tmp_path / "out"
+    run_experiment(ExperimentConfig(
+        matrix=matrix_path, labels=labels_path, out=out, k=3, restarts=2, seed=0,
+    ))
+    for algorithm in ("rough", "fsrk"):
+        text = (out / f"assignments-{algorithm}.csv").read_text()
+        assert ",boundary\n" in text, f"{algorithm} has no boundary gene"
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_SHA256}
+    assert got == PINNED_SHA256
 
 
 def report_row(dataset, algorithm, db, xb=0.5, sse=1.0, iterations=5):
