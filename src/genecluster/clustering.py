@@ -1,16 +1,18 @@
 """Partitional clustering engines over gene rows.
 
-Three engines share initialization (k distinct rows drawn without
-replacement), convergence (max centroid coordinate displacement <= tol, or
-max_iter), and the rough approximation bookkeeping:
+One engine runs all three algorithms: k distinct rows as initial centroids,
+then an assignment rule and the weighted centroid update in turn until no
+centroid coordinate moves by more than tol, or max_iter passes. Inside the
+loop a clustering is a per-gene lower index (-1 for a boundary gene) and an
+(n, k) boolean upper mask; the rule is what differs:
 
-* ``kmeans``        - crisp nearest-centroid clustering, Euclidean distance.
-* ``rough_kmeans``  - lower/upper approximations from a distance-ratio test
-                      (d_h / d_best <= epsilon, epsilon >= 1) and centroids
-                      as a weighted blend of lower and boundary means.
-* ``fsrk_kmeans``   - the soft-similarity mirror: membership rows, a
-                      similarity-ratio test (S_h / S_best >= epsilon,
-                      0 < epsilon <= 1), and the same weighted centroids.
+* ``kmeans``        - the distance rule at epsilon = 1: every gene is crisp
+                      in its nearest cluster (Lloyd iteration).
+* ``rough_kmeans``  - the distance rule: d_h / d_best <= epsilon (>= 1) puts
+                      a gene in the boundary; centroids blend lower and
+                      boundary means with weights w_lower and w_upper.
+* ``fsrk_kmeans``   - the similarity rule over membership rows:
+                      S_h / S_best >= epsilon (in (0, 1]), same centroids.
 
 Membership bookkeeping obeys the rough-set axioms: lower[h] is a subset of
 upper[h]; a gene is in at most one lower approximation; a gene in a lower
@@ -19,7 +21,7 @@ approximation is in at least two upper approximations; the upper sets cover
 all genes. Exact distance/similarity ties go to the lowest cluster index
 before the ratio test, so a tied competitor never widens the boundary; with
 epsilon at its crisp setting every gene therefore lands in exactly one lower
-approximation.
+approximation. Results, hooks and public helpers see frozensets.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, ShapeError
+from .fuzzysoft import _similarities
 
 __all__ = [
     "RoughParams",
@@ -51,6 +54,24 @@ DEFAULT_FSRK_EPSILON = 0.95
 _WEIGHT_TOL = 1e-9
 
 
+def _check_weights(w_lower: float, w_upper: float):
+    for name, w in (("w_lower", w_lower), ("w_upper", w_upper)):
+        if not 0.0 <= w <= 1.0:
+            raise ParameterError(f"{name} must be in [0, 1], got {w}")
+    if abs(w_lower + w_upper - 1.0) > _WEIGHT_TOL:
+        raise ParameterError(f"w_lower + w_upper must equal 1, got {w_lower + w_upper}")
+
+
+def _check_epsilon(epsilon: float | None, similarity: bool, default=None) -> float:
+    """``epsilon``, or ``default`` if it is None, checked against the rule's range."""
+    epsilon = default if epsilon is None else epsilon
+    if similarity and not 0.0 < epsilon <= 1.0:
+        raise ParameterError(f"similarity-ratio epsilon must be in (0, 1], got {epsilon}")
+    if not similarity and epsilon < 1.0:
+        raise ParameterError(f"distance-ratio epsilon must be >= 1, got {epsilon}")
+    return epsilon
+
+
 @dataclass(frozen=True)
 class RoughParams:
     """Shared run parameters for all three engines.
@@ -71,13 +92,7 @@ class RoughParams:
     def __post_init__(self):
         if self.k < 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
-        for name, w in (("w_lower", self.w_lower), ("w_upper", self.w_upper)):
-            if not 0.0 <= w <= 1.0:
-                raise ParameterError(f"{name} must be in [0, 1], got {w}")
-        if abs(self.w_lower + self.w_upper - 1.0) > _WEIGHT_TOL:
-            raise ParameterError(
-                f"w_lower + w_upper must equal 1, got {self.w_lower + self.w_upper}"
-            )
+        _check_weights(self.w_lower, self.w_upper)
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.tol < 0:
@@ -124,9 +139,22 @@ def _as_matrix(data) -> np.ndarray:
     return X
 
 
+def _as_pair(data, centroids) -> tuple[np.ndarray, np.ndarray]:
+    X = _as_matrix(data)
+    Z = _as_matrix(centroids)
+    if Z.shape[1] != X.shape[1]:
+        raise ShapeError(f"centroid width {Z.shape[1]} != data width {X.shape[1]}")
+    return X, Z
+
+
 def _check_k(k: int, n: int):
     if k > n:
         raise ParameterError(f"k={k} exceeds the number of rows n={n}")
+
+
+def _check_unit_interval(A, what: str):
+    if A.size and (A.min() < 0.0 or A.max() > 1.0):
+        raise DomainError(f"{what}: every entry must lie in [0, 1]")
 
 
 def init_centroids(data, k: int, seed=None) -> np.ndarray:
@@ -140,50 +168,130 @@ def init_centroids(data, k: int, seed=None) -> np.ndarray:
     return X[idx].copy()
 
 
+def _check_initial(initial, k, width) -> np.ndarray:
+    Z = _as_matrix(initial)
+    if Z.shape != (k, width):
+        raise ShapeError(f"initial centroids must be {k}x{width}, got {Z.shape}")
+    return Z.copy()
+
+
 def _sq_distances(X, centroids) -> np.ndarray:
     diff = X[:, None, :] - centroids[None, :, :]
     return np.einsum("nkm,nkm->nk", diff, diff)
 
 
-def _mean_update(X, assignment, centroids) -> np.ndarray:
-    """Per-cluster means; a cluster with no members keeps its previous centroid."""
-    new = centroids.copy()
-    for h in range(centroids.shape[0]):
-        members = assignment == h
-        if members.any():
-            new[h] = X[members].mean(axis=0)
-    return new
-
-
-def kmeans(data, params: RoughParams, initial_centroids=None) -> CrispClustering:
-    """Lloyd iteration: nearest-centroid assignment, mean update, until stable.
-
-    Distance ties go to the lowest cluster index. The recorded SSE history
-    (one entry per assignment pass) is non-increasing.
+def _ratio_masks(best, within) -> tuple[np.ndarray, np.ndarray]:
+    """Lower index and upper mask from the best cluster and the clusters that
+    pass the ratio test against it; a gene with one candidate is crisp there.
     """
-    X = _as_matrix(data)
+    lower = np.where(within.any(axis=1), -1, best)
+    within[np.arange(best.shape[0]), best] = True
+    return lower, within
+
+
+def _distance_rule(X, Z, epsilon):
+    """(squared distances, lower, upper) under d_h / d_best <= epsilon."""
+    d2 = _sq_distances(X, Z)
+    best = d2.argmin(axis=1)
+    d = np.sqrt(d2)
+    d_best = d[np.arange(X.shape[0]), best][:, None]
+    return (d2, *_ratio_masks(best, (d <= epsilon * d_best) & (d > d_best)))
+
+
+def _similarity_rule(M, Z, epsilon):
+    """(similarities, lower, upper) under S_h / S_best >= epsilon."""
+    S = _similarities(M, Z)
+    best = S.argmax(axis=1)
+    s_best = S[np.arange(M.shape[0]), best][:, None]
+    return (S, *_ratio_masks(best, (S >= epsilon * s_best) & (S < s_best)))
+
+
+def _to_sets(lower, upper) -> tuple[tuple, tuple]:
+    """Lower and upper approximations as tuples of frozensets of gene indices."""
+    k = upper.shape[1]
+    return (
+        tuple(frozenset(np.flatnonzero(lower == h).tolist()) for h in range(k)),
+        tuple(frozenset(np.flatnonzero(upper[:, h]).tolist()) for h in range(k)),
+    )
+
+
+def _to_masks(lower_sets, upper_sets, n) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`_to_sets` for n genes."""
+    lower = np.full(n, -1, dtype=np.int64)
+    upper = np.zeros((n, len(upper_sets)), dtype=bool)
+    for h, (low, up) in enumerate(zip(lower_sets, upper_sets)):
+        lower[list(low)] = h
+        upper[list(up), h] = True
+    return lower, upper
+
+
+def _update_centroids(X, lower, upper, w_lower, w_upper, previous) -> np.ndarray:
+    out = np.empty((upper.shape[1], X.shape[1]), dtype=float)
+    for h in range(upper.shape[1]):
+        members = upper[:, h]
+        crisp = lower == h
+        boundary = members & ~crisp
+        if not members.any():
+            if previous is None:
+                raise ParameterError(
+                    f"cluster {h} is empty and no previous centroids were given"
+                )
+            out[h] = np.asarray(previous, dtype=float)[h]
+        elif crisp.any() and boundary.any():
+            out[h] = w_lower * X[crisp].mean(axis=0) + w_upper * X[boundary].mean(axis=0)
+        else:
+            out[h] = X[members].mean(axis=0)
+    return out
+
+
+def _engine(X, params, rule, epsilon, initial_centroids, observe):
+    """The assign/update loop of all three engines; ``rule(X, Z, epsilon)``
+    gives (scores, lower, upper), and ``observe`` sees them every pass.
+    """
+    if X.size and not np.isfinite(X).all():
+        raise DomainError("clustering input must be finite")
     _check_k(params.k, X.shape[0])
     if initial_centroids is None:
         centroids = init_centroids(X, params.k, params.seed)
     else:
         centroids = _check_initial(initial_centroids, params.k, X.shape[1])
 
-    n = X.shape[0]
-    history: list[float] = []
-    assignment = np.zeros(n, dtype=np.int64)
     converged = False
-    iterations = 0
+    had_empty = False
     for iterations in range(1, params.max_iter + 1):
-        d2 = _sq_distances(X, centroids)
-        assignment = d2.argmin(axis=1)
-        history.append(float(d2[np.arange(n), assignment].sum()))
-        new = _mean_update(X, assignment, centroids)
+        scores, lower, upper = rule(X, centroids, epsilon)
+        if observe is not None:
+            observe(iterations, scores, lower, upper, centroids)
+        had_empty = had_empty or not upper.any(axis=0).all()
+        new = _update_centroids(X, lower, upper, params.w_lower, params.w_upper, centroids)
         shift = float(np.abs(new - centroids).max())
         centroids = new
         if shift <= params.tol:
             converged = True
             break
+    return lower, upper, centroids, iterations, converged, had_empty
 
+
+def kmeans(data, params: RoughParams, initial_centroids=None,
+           on_iteration=None) -> CrispClustering:
+    """Lloyd iteration: nearest-centroid assignment, mean update, until stable.
+
+    Distance ties go to the lowest cluster index. The recorded SSE history
+    (one entry per assignment pass) is non-increasing. ``on_iteration`` is
+    called as for :func:`rough_kmeans`; every gene is then in exactly one
+    lower set and the matching upper set.
+    """
+    X = _as_matrix(data)
+    history: list[float] = []
+
+    def observe(it, d2, lower, upper, Z):
+        history.append(float(d2[np.arange(X.shape[0]), lower].sum()))
+        if on_iteration is not None:
+            on_iteration(it, *_to_sets(lower, upper), Z)
+
+    assignment, _, centroids, iterations, converged, _ = _engine(
+        X, params, _distance_rule, 1.0, initial_centroids, observe
+    )
     sse = float(((X - centroids[assignment]) ** 2).sum())
     return CrispClustering(
         assignment=assignment,
@@ -195,22 +303,15 @@ def kmeans(data, params: RoughParams, initial_centroids=None) -> CrispClustering
     )
 
 
-def _ratio_sets(scores, within, best) -> tuple[tuple, tuple]:
-    """Build lower/upper sets from a per-gene candidate mask.
-
-    ``within`` marks clusters passing the ratio test against the strict best;
-    the best cluster is always a member. Genes with a single candidate are
-    crisp (lower + upper of it); the rest enter every candidate's upper set.
-    """
-    n, k = scores.shape
-    within[np.arange(n), best] = True
-    counts = within.sum(axis=1)
-    crisp = counts == 1
-    lower = tuple(
-        frozenset(np.flatnonzero(crisp & (best == h)).tolist()) for h in range(k)
+def _rough_engine(X, params, rule, epsilon, initial_centroids, on_iteration):
+    observe = None
+    if on_iteration is not None:
+        def observe(it, scores, lower, upper, Z):
+            on_iteration(it, *_to_sets(lower, upper), Z)
+    lower, upper, centroids, iterations, converged, had_empty = _engine(
+        X, params, rule, epsilon, initial_centroids, observe
     )
-    upper = tuple(frozenset(np.flatnonzero(within[:, h]).tolist()) for h in range(k))
-    return lower, upper
+    return RoughClustering(*_to_sets(lower, upper), centroids, iterations, converged, had_empty)
 
 
 def rough_assign(data, centroids, epsilon: float) -> tuple[tuple, tuple]:
@@ -221,17 +322,9 @@ def rough_assign(data, centroids, epsilon: float) -> tuple[tuple, tuple]:
     (lower) assignment, several candidates all receive the gene in their
     upper sets. A gene sitting exactly on a centroid is crisp there.
     """
-    if epsilon < 1.0:
-        raise ParameterError(f"distance-ratio epsilon must be >= 1, got {epsilon}")
-    X = _as_matrix(data)
-    Z = _as_matrix(centroids)
-    if Z.shape[1] != X.shape[1]:
-        raise ShapeError(f"centroid width {Z.shape[1]} != data width {X.shape[1]}")
-    d = np.sqrt(_sq_distances(X, Z))
-    best = d.argmin(axis=1)
-    d_best = d[np.arange(X.shape[0]), best]
-    within = (d <= epsilon * d_best[:, None]) & (d > d_best[:, None])
-    return _ratio_sets(d, within, best)
+    _check_epsilon(epsilon, similarity=False)
+    _, lower, upper = _distance_rule(*_as_pair(data, centroids), epsilon)
+    return _to_sets(lower, upper)
 
 
 def rough_centroids(data, lower, upper, w_lower: float, w_upper: float,
@@ -244,80 +337,12 @@ def rough_centroids(data, lower, upper, w_lower: float, w_upper: float,
     approximation is empty keeps its previous centroid, which the caller must
     supply in that case.
     """
-    for name, w in (("w_lower", w_lower), ("w_upper", w_upper)):
-        if not 0.0 <= w <= 1.0:
-            raise ParameterError(f"{name} must be in [0, 1], got {w}")
-    if abs(w_lower + w_upper - 1.0) > _WEIGHT_TOL:
-        raise ParameterError(f"w_lower + w_upper must equal 1, got {w_lower + w_upper}")
+    _check_weights(w_lower, w_upper)
     X = _as_matrix(data)
-    k = len(lower)
-    if len(upper) != k:
-        raise ShapeError(f"{k} lower sets vs {len(upper)} upper sets")
-    out = np.empty((k, X.shape[1]), dtype=float)
-    for h in range(k):
-        lower_idx = sorted(lower[h])
-        upper_idx = sorted(upper[h])
-        boundary_idx = sorted(set(upper[h]) - set(lower[h]))
-        if not upper_idx:
-            if previous_centroids is None:
-                raise ParameterError(
-                    f"cluster {h} is empty and no previous centroids were given"
-                )
-            out[h] = np.asarray(previous_centroids, dtype=float)[h]
-        elif lower_idx and boundary_idx:
-            out[h] = (
-                w_lower * X[lower_idx].mean(axis=0)
-                + w_upper * X[boundary_idx].mean(axis=0)
-            )
-        else:
-            out[h] = X[upper_idx].mean(axis=0)
-    return out
-
-
-def _check_initial(initial, k, width) -> np.ndarray:
-    Z = np.asarray(initial, dtype=float)
-    if Z.ndim == 1:
-        Z = Z.reshape(-1, 1)
-    if Z.shape != (k, width):
-        raise ShapeError(f"initial centroids must be {k}x{width}, got {Z.shape}")
-    return Z.copy()
-
-
-def _approximation_engine(X, params, epsilon, assign, initial_centroids, on_iteration):
-    if initial_centroids is None:
-        centroids = init_centroids(X, params.k, params.seed)
-    else:
-        centroids = _check_initial(initial_centroids, params.k, X.shape[1])
-
-    lower: tuple = tuple(frozenset() for _ in range(params.k))
-    upper: tuple = tuple(frozenset() for _ in range(params.k))
-    converged = False
-    had_empty = False
-    iterations = 0
-    for iterations in range(1, params.max_iter + 1):
-        lower, upper = assign(X, centroids, epsilon)
-        if on_iteration is not None:
-            on_iteration(iterations, lower, upper, centroids)
-        if any(not u for u in upper):
-            had_empty = True
-        new = rough_centroids(
-            X, lower, upper, params.w_lower, params.w_upper,
-            previous_centroids=centroids,
-        )
-        shift = float(np.abs(new - centroids).max())
-        centroids = new
-        if shift <= params.tol:
-            converged = True
-            break
-
-    return RoughClustering(
-        lower=lower,
-        upper=upper,
-        centroids=centroids,
-        iterations=iterations,
-        converged=converged,
-        had_empty_cluster=had_empty,
-    )
+    if len(upper) != len(lower):
+        raise ShapeError(f"{len(lower)} lower sets vs {len(upper)} upper sets")
+    lower_idx, upper_mask = _to_masks(lower, upper, X.shape[0])
+    return _update_centroids(X, lower_idx, upper_mask, w_lower, w_upper, previous_centroids)
 
 
 def rough_kmeans(data, params: RoughParams, initial_centroids=None,
@@ -327,14 +352,9 @@ def rough_kmeans(data, params: RoughParams, initial_centroids=None,
     ``on_iteration(iteration, lower, upper, centroids)``, when given, is
     called after every assignment pass with the centroids it used.
     """
-    X = _as_matrix(data)
-    _check_k(params.k, X.shape[0])
-    epsilon = DEFAULT_ROUGH_EPSILON if params.epsilon is None else params.epsilon
-    if epsilon < 1.0:
-        raise ParameterError(f"distance-ratio epsilon must be >= 1, got {epsilon}")
-    return _approximation_engine(
-        X, params, epsilon, rough_assign, initial_centroids, on_iteration
-    )
+    epsilon = _check_epsilon(params.epsilon, False, DEFAULT_ROUGH_EPSILON)
+    return _rough_engine(_as_matrix(data), params, _distance_rule, epsilon,
+                         initial_centroids, on_iteration)
 
 
 def fsrk_assign(memberships, centroids, epsilon: float) -> tuple[tuple, tuple]:
@@ -343,28 +363,11 @@ def fsrk_assign(memberships, centroids, epsilon: float) -> tuple[tuple, tuple]:
     Mirrors the distance rule in similarity space: candidates are clusters
     with S_h / S_best >= epsilon beyond the unique best-similarity one.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ParameterError(f"similarity-ratio epsilon must be in (0, 1], got {epsilon}")
-    M = _as_matrix(memberships)
-    Z = _as_matrix(centroids)
-    if Z.shape[1] != M.shape[1]:
-        raise ShapeError(f"centroid width {Z.shape[1]} != data width {M.shape[1]}")
-    if Z.size and (Z.min() < 0.0 or Z.max() > 1.0):
-        raise DomainError("fsrk centroids must lie in [0, 1]")
-    S = _similarity_matrix(M, Z)
-    best = S.argmax(axis=1)
-    s_best = S[np.arange(M.shape[0]), best]
-    within = (S >= epsilon * s_best[:, None]) & (S < s_best[:, None])
-    return _ratio_sets(S, within, best)
-
-
-def _similarity_matrix(M, Z) -> np.ndarray:
-    S = np.empty((M.shape[0], Z.shape[0]), dtype=float)
-    for h in range(Z.shape[0]):
-        num = np.abs(M - Z[h]).sum(axis=1)
-        den = (M + Z[h]).sum(axis=1)
-        S[:, h] = np.where(den > 0, 1.0 - num / np.where(den > 0, den, 1.0), 1.0)
-    return S
+    _check_epsilon(epsilon, similarity=True)
+    M, Z = _as_pair(memberships, centroids)
+    _check_unit_interval(Z, "fsrk centroids")
+    _, lower, upper = _similarity_rule(M, Z, epsilon)
+    return _to_sets(lower, upper)
 
 
 def fsrk_kmeans(memberships, params: RoughParams, initial_centroids=None,
@@ -374,14 +377,9 @@ def fsrk_kmeans(memberships, params: RoughParams, initial_centroids=None,
     Input rows must already be memberships in [0, 1]; centroids then stay in
     [0, 1] automatically, being convex combinations of memberships.
     """
-    values = getattr(memberships, "values", memberships)
-    M = _as_matrix(values)
-    if M.size and (M.min() < 0.0 or M.max() > 1.0):
-        raise DomainError("fsrk input must be fuzzified: every entry in [0, 1]")
-    _check_k(params.k, M.shape[0])
-    epsilon = DEFAULT_FSRK_EPSILON if params.epsilon is None else params.epsilon
-    if not 0.0 < epsilon <= 1.0:
-        raise ParameterError(f"similarity-ratio epsilon must be in (0, 1], got {epsilon}")
-    return _approximation_engine(
-        M, params, epsilon, fsrk_assign, initial_centroids, on_iteration
-    )
+    M = _as_matrix(getattr(memberships, "values", memberships))
+    _check_unit_interval(M, "fsrk input must be fuzzified")
+    if initial_centroids is not None:
+        _check_unit_interval(np.asarray(initial_centroids, dtype=float), "fsrk centroids")
+    epsilon = _check_epsilon(params.epsilon, True, DEFAULT_FSRK_EPSILON)
+    return _rough_engine(M, params, _similarity_rule, epsilon, initial_centroids, on_iteration)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError, ValidationError
+from .ingest import LabelledMatrix
 
 __all__ = [
     "MembershipShape",
@@ -53,41 +54,12 @@ class MembershipShape:
 
 
 @dataclass(frozen=True, eq=False)
-class MembershipMatrix:
+class MembershipMatrix(LabelledMatrix):
     """A fuzzified matrix: same identifiers as its source, every entry in [0, 1]."""
 
-    gene_ids: tuple[str, ...]
-    sample_ids: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        gene_ids = tuple(str(g) for g in self.gene_ids)
-        sample_ids = tuple(str(s) for s in self.sample_ids)
-        values = np.array(self.values, dtype=float)
-        if values.size == 0:
-            values = values.reshape(len(gene_ids), len(sample_ids))
-        if values.ndim != 2 or values.shape != (len(gene_ids), len(sample_ids)):
-            raise ValidationError(
-                f"value array of shape {values.shape} does not match "
-                f"{len(gene_ids)} gene ids x {len(sample_ids)} sample ids"
-            )
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
+    def _check_values(self, values):
+        if not ((values >= 0.0) & (values <= 1.0)).all():
             raise ValidationError("membership degrees must lie in [0, 1]")
-        values.flags.writeable = False
-        object.__setattr__(self, "gene_ids", gene_ids)
-        object.__setattr__(self, "sample_ids", sample_ids)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_genes(self) -> int:
-        return len(self.gene_ids)
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.sample_ids)
-
-    def row(self, i: int) -> np.ndarray:
-        return self.values[i]
 
 
 def _s_value(x: float, a: float, b: float) -> float:
@@ -135,16 +107,26 @@ def fuzzify(matrix, kind: str = "s") -> MembershipMatrix:
     return MembershipMatrix(matrix.gene_ids, matrix.sample_ids, out)
 
 
+def _similarities(X, Z) -> np.ndarray:
+    """Similarity of every row of X to every row of Z, as an (n, k) array.
+
+    One loop pass per row of Z keeps the temporaries at the size of X.
+    """
+    S = np.empty((X.shape[0], Z.shape[0]), dtype=float)
+    for h in range(Z.shape[0]):
+        num = np.abs(X - Z[h]).sum(axis=1)
+        den = (X + Z[h]).sum(axis=1)
+        S[:, h] = np.where(den > 0, 1.0 - num / np.where(den > 0, den, 1.0), 1.0)
+    return S
+
+
 def similarity(x, z) -> float:
     """Soft-set similarity of two equal-length membership vectors."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     if x.ndim != 1 or z.ndim != 1 or x.shape != z.shape:
         raise ShapeError(f"equal-length vectors required, got {x.shape} and {z.shape}")
-    den = float(np.sum(x + z))
-    if den == 0.0:
-        return 1.0
-    return float(1.0 - np.sum(np.abs(x - z)) / den)
+    return float(_similarities(x[None, :], z[None, :])[0, 0])
 
 
 def similarity_profile(gene, centroids) -> np.ndarray:
@@ -155,6 +137,4 @@ def similarity_profile(gene, centroids) -> np.ndarray:
         raise ShapeError(
             f"centroid rows of length {gene.shape[0]} required, got {centroids.shape}"
         )
-    num = np.abs(centroids - gene).sum(axis=1)
-    den = (centroids + gene).sum(axis=1)
-    return np.where(den > 0, 1.0 - num / np.where(den > 0, den, 1.0), 1.0)
+    return _similarities(gene[None, :], centroids)[0]

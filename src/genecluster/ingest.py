@@ -9,7 +9,9 @@ header row), laid out genes-as-rows:
     gene_n    w_n1      w_n2      ...  w_nm
 
 The corner cell is optional; its presence is inferred from the width of the
-body rows. Label files are two columns per line: ``sample_id <delim> class``.
+body rows. An id holding the delimiter or a double quote is quoted CSV-style
+(``"HLA-DRB1,3"``, ``"a""b"``), as :func:`write_matrix` writes it. Label files
+are two columns per line: ``sample_id <delim> class``.
 Both UTF-8 (with or without a byte-order mark) with LF or CRLF line endings
 are accepted. Missing or non-numeric
 cells are rejected rather than imputed, since every downstream computation
@@ -43,6 +45,13 @@ def _sniff_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
+def _split(line: str, delim: str) -> list[str]:
+    """The fields of one line; a line holding a double quote is read as CSV."""
+    if '"' in line:
+        return next(csv.reader([line], delimiter=delim))
+    return line.split(delim)
+
+
 def _read_lines(source) -> list[str]:
     """Return the lines of a path or an open text stream, line endings stripped."""
     if hasattr(source, "read"):
@@ -65,12 +74,12 @@ def _check_unique(ids, what: str):
 
 
 @dataclass(frozen=True, eq=False)
-class ExpressionMatrix:
-    """An n-genes by m-samples matrix of real expression levels.
+class LabelledMatrix:
+    """An n-genes by m-samples value array with unique gene and sample ids.
 
-    Rows are genes, columns are samples; values may be negative and use
-    arbitrary units. The value array is frozen after construction, so a
-    matrix can be shared between any number of concurrent readers.
+    The value array is frozen after construction, so a matrix can be shared
+    between any number of concurrent readers. Subclasses state which values
+    they accept in ``_check_values``.
     """
 
     gene_ids: tuple[str, ...]
@@ -90,12 +99,14 @@ class ExpressionMatrix:
             )
         _check_unique(gene_ids, "gene")
         _check_unique(sample_ids, "sample")
-        if values.size and not np.isfinite(values).all():
-            raise ValidationError("expression values must all be finite")
+        self._check_values(values)
         values.flags.writeable = False
         object.__setattr__(self, "gene_ids", gene_ids)
         object.__setattr__(self, "sample_ids", sample_ids)
         object.__setattr__(self, "values", values)
+
+    def _check_values(self, values):
+        """Raise ValidationError for values this kind of matrix may not hold."""
 
     @property
     def n_genes(self) -> int:
@@ -107,6 +118,19 @@ class ExpressionMatrix:
 
     def row(self, i: int) -> np.ndarray:
         return self.values[i]
+
+
+@dataclass(frozen=True, eq=False)
+class ExpressionMatrix(LabelledMatrix):
+    """An n-genes by m-samples matrix of real expression levels.
+
+    Rows are genes, columns are samples; values may be negative and use
+    arbitrary units but must be finite.
+    """
+
+    def _check_values(self, values):
+        if not np.isfinite(values).all():
+            raise ValidationError("expression values must all be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,11 +180,11 @@ def parse_matrix(source, delimiter: str | None = None) -> ExpressionMatrix:
     if not lines:
         raise ParseError("empty input: expected a header row of sample ids")
     delim = delimiter or _sniff_delimiter(lines[0])
-    header = [f.strip() for f in lines[0].split(delim)]
+    header = [f.strip() for f in _split(lines[0], delim)]
     body = lines[1:]
 
     if body:
-        m = len(body[0].split(delim)) - 1
+        m = len(_split(body[0], delim)) - 1
         if len(header) not in (m, m + 1):
             raise ParseError(
                 f"header has {len(header)} fields but body rows carry {m} data columns",
@@ -174,7 +198,7 @@ def parse_matrix(source, delimiter: str | None = None) -> ExpressionMatrix:
     gene_ids = []
     values = np.empty((n, m), dtype=float)
     for r, line in enumerate(body, start=1):
-        fields = line.split(delim)
+        fields = _split(line, delim)
         if len(fields) != m + 1:
             raise ParseError(
                 f"row {r}: expected {m + 1} fields, found {len(fields)}", row=r
@@ -281,8 +305,9 @@ def write_matrix(matrix, dest, delimiter: str = "\t") -> None:
     Values are formatted with shortest round-trip ``repr``, so a written file
     parses back bit-identically. Works for any object exposing ``gene_ids``,
     ``sample_ids``, and ``values`` (membership matrices included). An id
-    holding the delimiter, a double quote or a line break is written quoted,
-    which :func:`parse_matrix` does not undo.
+    holding the delimiter or a double quote is written quoted and read back
+    as it was; one holding a line break is written quoted too, but
+    :func:`parse_matrix` reads one line per row and rejects it.
     """
     rows = (
         (gid, *(repr(float(v)) for v in row)) for gid, row in zip(matrix.gene_ids, matrix.values)

@@ -7,10 +7,13 @@ Both indices are the standard crisp forms; lower is better for each.
           to its centroid.
     XB  = sum_h sum_{i in h} ||X_i - Z_h||^2 / (n * min_{h != g} ||Z_h - Z_g||^2)
 
-Rough clusterings are resolved to crisp assignments first: lower-approximation
-members keep their cluster, boundary genes go to the nearest (or, for
-similarity-space clusterings, most similar) of their upper-approximation
-clusters, ties to the lowest index.
+The three engines share one loop and differ only in their assignment rule;
+kmeans yields a crisp assignment, rough and fsrk yield rough clusterings,
+which are resolved to crisp ones first: lower-approximation members keep
+their cluster, boundary genes go to the nearest (distance rule) or most
+similar (similarity rule) of their upper-approximation clusters, scored with
+the engines' own kernels against the final centroids, ties to the lowest
+index.
 """
 
 from __future__ import annotations
@@ -19,14 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import RoughClustering, _as_matrix, _sq_distances
+from .clustering import RoughClustering, _as_matrix, _as_pair, _sq_distances, _to_masks
 from .errors import (
     DegenerateClusteringError,
     ParameterError,
     ShapeError,
     ValidityError,
 )
-from .fuzzysoft import similarity
+from .fuzzysoft import _similarities
 
 __all__ = [
     "ValidityReport",
@@ -64,14 +67,11 @@ class ValidityReport:
 
 
 def _check_scorable(data, assignment, centroids):
-    X = _as_matrix(data)
-    Z = _as_matrix(centroids)
+    X, Z = _as_pair(data, centroids)
     a = np.asarray(assignment, dtype=np.int64)
     k = Z.shape[0]
     if a.shape != (X.shape[0],):
         raise ShapeError(f"assignment of length {a.shape} vs {X.shape[0]} rows")
-    if Z.shape[1] != X.shape[1]:
-        raise ShapeError(f"centroid width {Z.shape[1]} != data width {X.shape[1]}")
     if k < 2:
         raise ValidityError(f"validity indices need k >= 2 clusters, got {k}")
     if a.size and (a.min() < 0 or a.max() >= k):
@@ -127,25 +127,17 @@ def crispify(rough: RoughClustering, data, metric: str = "distance") -> np.ndarr
     Lower-approximation members keep their cluster. A boundary gene goes to
     the max-proximity cluster among its upper approximations: minimum
     Euclidean distance for ``metric="distance"``, maximum soft-set similarity
-    for ``metric="similarity"``; ties to the lowest cluster index.
+    for ``metric="similarity"``; ties to the lowest cluster index. Proximity
+    is measured to ``rough.centroids`` with the kernel the engines use.
     """
     if metric not in ("distance", "similarity"):
         raise ParameterError(f"metric must be 'distance' or 'similarity', got {metric!r}")
     X = _as_matrix(data)
-    assignment = np.full(X.shape[0], -1, dtype=np.int64)
-    for h, members in enumerate(rough.lower):
-        assignment[sorted(members)] = h
-
-    for i in np.flatnonzero(assignment < 0):
-        candidates = sorted(h for h in range(rough.n_clusters) if i in rough.upper[h])
-        if metric == "distance":
-            scores = [
-                float(np.sqrt(((X[i] - rough.centroids[h]) ** 2).sum()))
-                for h in candidates
-            ]
-            pick = int(np.argmin(scores))
-        else:
-            scores = [similarity(X[i], rough.centroids[h]) for h in candidates]
-            pick = int(np.argmax(scores))
-        assignment[i] = candidates[pick]
+    assignment, upper = _to_masks(rough.lower, rough.upper, X.shape[0])
+    boundary = np.flatnonzero(assignment < 0)
+    if metric == "distance":
+        cost = _sq_distances(X[boundary], rough.centroids)
+    else:
+        cost = -_similarities(X[boundary], rough.centroids)
+    assignment[boundary] = np.where(upper[boundary], cost, np.inf).argmin(axis=1)
     return assignment

@@ -112,6 +112,28 @@ class TestKMeans:
         with pytest.raises(ParameterError):
             kmeans(np.zeros((2, 1)), RoughParams(k=3, seed=0))
 
+    def test_on_iteration_sees_one_lower_set_per_gene(self):
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            n = int(rng.integers(5, 30))
+            data = rng.normal(size=(n, int(rng.integers(1, 4))))
+            k = int(rng.integers(1, min(5, n) + 1))
+            seen = []
+
+            def check(iteration, lower, upper, centroids):
+                seen.append((iteration, lower))
+                for i in range(n):
+                    homes = [h for h in range(k) if i in lower[h]]
+                    assert len(homes) == 1
+                    assert [h for h in range(k) if i in upper[h]] == homes
+
+            result = kmeans(data, RoughParams(k=k, seed=int(rng.integers(1000))),
+                            on_iteration=check)
+            assert [it for it, _ in seen] == list(range(1, result.iterations + 1))
+            last = seen[-1][1]
+            for h in range(k):
+                assert last[h] == frozenset(np.flatnonzero(result.assignment == h).tolist())
+
 
 class TestRoughAssign:
     def test_midpoint_lands_in_both_uppers(self):
@@ -381,3 +403,12 @@ class TestRoughParams:
             RoughParams(k=1, max_iter=0)
         with pytest.raises(ParameterError):
             RoughParams(k=1, tol=-1.0)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("engine", [kmeans, rough_kmeans, fsrk_kmeans])
+    def test_engines_reject_non_finite_rows(self, engine, bad):
+        data = np.array([[0.1, 0.2], [0.3, bad], [0.5, 0.6]])
+        with pytest.raises(DomainError):
+            engine(data, RoughParams(k=2, seed=0))

@@ -137,6 +137,10 @@ class TestMembershipMatrixType:
         with pytest.raises(ValidationError):
             MembershipMatrix(("g1",), ("s1",), [[-0.1]])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            MembershipMatrix(("g1", "g2"), ("s1",), [[0.5], [np.nan]])
+
     def test_exportable_in_the_ingest_layout(self):
         import io
 

@@ -194,6 +194,26 @@ class TestRoundTrip:
         assert np.array_equal(again.values, matrix.values)
 
 
+class TestQuotedIds:
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_ids_with_delimiter_or_quote_round_trip(self, delimiter):
+        matrix = ExpressionMatrix(
+            ("HLA-DRB1,3", 'a"b', "g3"), ('s"1', "s,2"), [[1.0, 2.0], [3.0, 4.5], [5.0, 6.0]]
+        )
+        buf = io.StringIO()
+        write_matrix(matrix, buf, delimiter=delimiter)
+        again = parse_matrix(io.StringIO(buf.getvalue()))
+        assert again.gene_ids == matrix.gene_ids
+        assert again.sample_ids == matrix.sample_ids
+        assert np.array_equal(again.values, matrix.values)
+
+    def test_quoted_row_keeps_row_and_column_errors(self):
+        text = 'gene_id,s1,s2\n"a,b",1,x\n'
+        with pytest.raises(DataError) as err:
+            parse_matrix(io.StringIO(text))
+        assert (err.value.row, err.value.column) == (1, 2)
+
+
 def two_class_matrix():
     return parse_matrix(
         io.StringIO(matrix_text([("g1", 1, 2), ("g2", 3, 4)], header=("gene_id", "s1", "s2")))
