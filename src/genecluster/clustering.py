@@ -62,13 +62,15 @@ def _check_weights(w_lower: float, w_upper: float):
         raise ParameterError(f"w_lower + w_upper must equal 1, got {w_lower + w_upper}")
 
 
-def _check_epsilon(epsilon: float | None, similarity: bool, default=None) -> float:
-    """``epsilon``, or ``default`` if it is None, checked against the rule's range."""
-    epsilon = default if epsilon is None else epsilon
-    if similarity and not 0.0 < epsilon <= 1.0:
-        raise ParameterError(f"similarity-ratio epsilon must be in (0, 1], got {epsilon}")
-    if not similarity and epsilon < 1.0:
+def _distance_epsilon(epsilon: float) -> float:
+    if epsilon < 1.0:
         raise ParameterError(f"distance-ratio epsilon must be >= 1, got {epsilon}")
+    return epsilon
+
+
+def _similarity_epsilon(epsilon: float) -> float:
+    if not 0.0 < epsilon <= 1.0:
+        raise ParameterError(f"similarity-ratio epsilon must be in (0, 1], got {epsilon}")
     return epsilon
 
 
@@ -272,33 +274,27 @@ def _engine(X, params, rule, epsilon, initial_centroids, observe):
     return lower, upper, centroids, iterations, converged, had_empty
 
 
-def kmeans(data, params: RoughParams, initial_centroids=None,
-           on_iteration=None) -> CrispClustering:
+def kmeans(data, params: RoughParams, initial_centroids=None) -> CrispClustering:
     """Lloyd iteration: nearest-centroid assignment, mean update, until stable.
 
     Distance ties go to the lowest cluster index. The recorded SSE history
-    (one entry per assignment pass) is non-increasing. ``on_iteration`` is
-    called as for :func:`rough_kmeans`; every gene is then in exactly one
-    lower set and the matching upper set.
+    (one entry per assignment pass) is non-increasing.
     """
     X = _as_matrix(data)
     history: list[float] = []
 
     def observe(it, d2, lower, upper, Z):
         history.append(float(d2[np.arange(X.shape[0]), lower].sum()))
-        if on_iteration is not None:
-            on_iteration(it, *_to_sets(lower, upper), Z)
 
     assignment, _, centroids, iterations, converged, _ = _engine(
         X, params, _distance_rule, 1.0, initial_centroids, observe
     )
-    sse = float(((X - centroids[assignment]) ** 2).sum())
     return CrispClustering(
         assignment=assignment,
         centroids=centroids,
         iterations=iterations,
         converged=converged,
-        sse=sse,
+        sse=float(((X - centroids[assignment]) ** 2).sum()),
         sse_history=tuple(history),
     )
 
@@ -322,7 +318,7 @@ def rough_assign(data, centroids, epsilon: float) -> tuple[tuple, tuple]:
     (lower) assignment, several candidates all receive the gene in their
     upper sets. A gene sitting exactly on a centroid is crisp there.
     """
-    _check_epsilon(epsilon, similarity=False)
+    _distance_epsilon(epsilon)
     _, lower, upper = _distance_rule(*_as_pair(data, centroids), epsilon)
     return _to_sets(lower, upper)
 
@@ -352,7 +348,8 @@ def rough_kmeans(data, params: RoughParams, initial_centroids=None,
     ``on_iteration(iteration, lower, upper, centroids)``, when given, is
     called after every assignment pass with the centroids it used.
     """
-    epsilon = _check_epsilon(params.epsilon, False, DEFAULT_ROUGH_EPSILON)
+    epsilon = _distance_epsilon(
+        DEFAULT_ROUGH_EPSILON if params.epsilon is None else params.epsilon)
     return _rough_engine(_as_matrix(data), params, _distance_rule, epsilon,
                          initial_centroids, on_iteration)
 
@@ -363,7 +360,7 @@ def fsrk_assign(memberships, centroids, epsilon: float) -> tuple[tuple, tuple]:
     Mirrors the distance rule in similarity space: candidates are clusters
     with S_h / S_best >= epsilon beyond the unique best-similarity one.
     """
-    _check_epsilon(epsilon, similarity=True)
+    _similarity_epsilon(epsilon)
     M, Z = _as_pair(memberships, centroids)
     _check_unit_interval(Z, "fsrk centroids")
     _, lower, upper = _similarity_rule(M, Z, epsilon)
@@ -381,5 +378,6 @@ def fsrk_kmeans(memberships, params: RoughParams, initial_centroids=None,
     _check_unit_interval(M, "fsrk input must be fuzzified")
     if initial_centroids is not None:
         _check_unit_interval(np.asarray(initial_centroids, dtype=float), "fsrk centroids")
-    epsilon = _check_epsilon(params.epsilon, True, DEFAULT_FSRK_EPSILON)
+    epsilon = _similarity_epsilon(
+        DEFAULT_FSRK_EPSILON if params.epsilon is None else params.epsilon)
     return _rough_engine(M, params, _similarity_rule, epsilon, initial_centroids, on_iteration)

@@ -116,7 +116,7 @@ def _similarities(X, Z) -> np.ndarray:
     for h in range(Z.shape[0]):
         num = np.abs(X - Z[h]).sum(axis=1)
         den = (X + Z[h]).sum(axis=1)
-        S[:, h] = np.where(den > 0, 1.0 - num / np.where(den > 0, den, 1.0), 1.0)
+        S[:, h] = np.where(den != 0, 1.0 - num / np.where(den != 0, den, 1.0), 1.0)
     return S
 
 

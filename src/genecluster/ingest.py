@@ -11,7 +11,7 @@ header row), laid out genes-as-rows:
 The corner cell is optional; its presence is inferred from the width of the
 body rows. An id holding the delimiter or a double quote is quoted CSV-style
 (``"HLA-DRB1,3"``, ``"a""b"``), as :func:`write_matrix` writes it. Label files
-are two columns per line: ``sample_id <delim> class``.
+are two columns per line, ``sample_id <delim> class``, quoted the same way.
 Both UTF-8 (with or without a byte-order mark) with LF or CRLF line endings
 are accepted. Missing or non-numeric
 cells are rejected rather than imputed, since every downstream computation
@@ -238,7 +238,7 @@ def parse_labels(source, matrix: ExpressionMatrix, delimiter: str | None = None)
     known = set(matrix.sample_ids)
     mapping: dict[str, str] = {}
     for r, line in enumerate(lines, start=1):
-        fields = [f.strip() for f in line.split(delim)]
+        fields = [f.strip() for f in _split(line, delim)]
         if len(fields) != 2:
             raise ParseError(
                 f"row {r}: expected 2 fields (sample id, class), found {len(fields)}",

@@ -115,8 +115,7 @@ def xb_index(data, assignment, centroids) -> float:
 
 def sum_squared_error(data, assignment, centroids) -> float:
     """Total squared Euclidean distance of each row to its assigned centroid."""
-    X = _as_matrix(data)
-    Z = _as_matrix(centroids)
+    X, Z = _as_pair(data, centroids)
     a = np.asarray(assignment, dtype=np.int64)
     return float(((X - Z[a]) ** 2).sum())
 
@@ -135,9 +134,16 @@ def crispify(rough: RoughClustering, data, metric: str = "distance") -> np.ndarr
     X = _as_matrix(data)
     assignment, upper = _to_masks(rough.lower, rough.upper, X.shape[0])
     boundary = np.flatnonzero(assignment < 0)
+    candidates = upper[boundary]
+    if not candidates.any(axis=1).all():
+        raise ValidityError("a gene is in no lower and no upper approximation")
     if metric == "distance":
         cost = _sq_distances(X[boundary], rough.centroids)
     else:
         cost = -_similarities(X[boundary], rough.centroids)
-    assignment[boundary] = np.where(upper[boundary], cost, np.inf).argmin(axis=1)
+    pick = np.where(candidates, cost, np.inf).argmin(axis=1)
+    # a candidate whose cost overflowed to inf ties with the masked-out clusters
+    stray = ~candidates[np.arange(boundary.size), pick]
+    pick[stray] = candidates[stray].argmax(axis=1)
+    assignment[boundary] = pick
     return assignment

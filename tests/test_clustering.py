@@ -112,28 +112,6 @@ class TestKMeans:
         with pytest.raises(ParameterError):
             kmeans(np.zeros((2, 1)), RoughParams(k=3, seed=0))
 
-    def test_on_iteration_sees_one_lower_set_per_gene(self):
-        rng = np.random.default_rng(18)
-        for _ in range(10):
-            n = int(rng.integers(5, 30))
-            data = rng.normal(size=(n, int(rng.integers(1, 4))))
-            k = int(rng.integers(1, min(5, n) + 1))
-            seen = []
-
-            def check(iteration, lower, upper, centroids):
-                seen.append((iteration, lower))
-                for i in range(n):
-                    homes = [h for h in range(k) if i in lower[h]]
-                    assert len(homes) == 1
-                    assert [h for h in range(k) if i in upper[h]] == homes
-
-            result = kmeans(data, RoughParams(k=k, seed=int(rng.integers(1000))),
-                            on_iteration=check)
-            assert [it for it, _ in seen] == list(range(1, result.iterations + 1))
-            last = seen[-1][1]
-            for h in range(k):
-                assert last[h] == frozenset(np.flatnonzero(result.assignment == h).tolist())
-
 
 class TestRoughAssign:
     def test_midpoint_lands_in_both_uppers(self):

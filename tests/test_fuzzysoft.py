@@ -174,6 +174,14 @@ class TestSimilarity:
         with pytest.raises(ShapeError):
             similarity([0.1, 0.2], [0.1])
 
+    def test_nan_input_is_not_a_perfect_match(self):
+        assert np.isnan(similarity([np.nan, 0.2], [0.1, 0.2]))
+        assert np.isnan(similarity_profile([np.nan, 0.2], [[0.1, 0.2], [0.0, 0.0]])).all()
+
+    def test_formula_applies_to_negative_sums(self):
+        assert similarity([-1.0, 0.0], [-1.0, 0.0]) == 1.0
+        assert similarity([-0.5, 0.0], [-0.25, 0.0]) == 1.0 - 0.25 / -0.75
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(min_value=1, max_value=8),

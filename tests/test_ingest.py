@@ -252,6 +252,11 @@ class TestParseLabels:
         labels = parse_labels(io.StringIO("s1,ALL\ns2,AML\n"), two_class_matrix())
         assert labels.classes == ("ALL", "AML")
 
+    def test_quoted_sample_id_with_delimiter(self):
+        m = ExpressionMatrix(("g1",), ("s,1", 's"2'), [[1.0, 2.0]])
+        labels = parse_labels(io.StringIO('"s,1",ALL\n"s""2",AML\n'), m)
+        assert labels.labels == {"s,1": "ALL", 's"2': "AML"}
+
 
 class TestClassLabelsType:
     def test_coverage_enforced(self):

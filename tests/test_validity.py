@@ -6,6 +6,7 @@ from genecluster.clustering import RoughClustering
 from genecluster.errors import (
     DegenerateClusteringError,
     ParameterError,
+    ShapeError,
     ValidityError,
 )
 from genecluster.validity import (
@@ -129,7 +130,33 @@ class TestSumSquaredError:
         assert sum_squared_error(data, a, z) == 1.0
 
 
+    def test_centroid_width_mismatch(self):
+        with pytest.raises(ShapeError):
+            sum_squared_error(np.zeros((3, 2)), [0, 0, 0], np.zeros((1, 3)))
+
+
 class TestCrispify:
+    def test_gene_in_no_approximation_rejected(self):
+        rough = RoughClustering(
+            lower=(frozenset({0}), frozenset({2})),
+            upper=(frozenset({0}), frozenset({2})),
+            centroids=np.array([[0.0], [9.0]]),
+            iterations=1,
+            converged=True,
+        )
+        with pytest.raises(ValidityError):
+            crispify(rough, np.array([[0.0], [4.0], [9.0]]))
+
+    def test_overflowed_distances_stay_among_candidates(self):
+        rough = RoughClustering(
+            lower=(frozenset({1}), frozenset(), frozenset()),
+            upper=(frozenset({1}), frozenset({0}), frozenset({0})),
+            centroids=np.array([[0.0], [-1e300], [1e300]]),
+            iterations=1,
+            converged=True,
+        )
+        assert crispify(rough, np.array([[0.0], [0.0]])).tolist() == [1, 0]
+
     def test_boundary_free_clustering_is_identity_on_lower(self):
         rough = RoughClustering(
             lower=(frozenset({0, 1}), frozenset({2})),
