@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, ShapeError
 from .fuzzysoft import _similarities
+from .ingest import _block_rows
 
 __all__ = [
     "RoughParams",
@@ -178,8 +179,23 @@ def _check_initial(initial, k, width) -> np.ndarray:
 
 
 def _sq_distances(X, centroids) -> np.ndarray:
-    diff = X[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkm,nkm->nk", diff, diff)
+    """Squared Euclidean distance of every row of X to every centroid, (n, k).
+
+    X is taken in row blocks: a block's differences to one centroid go into
+    one reused buffer, summed per row by the einsum that the unblocked
+    (n, k, m) form used, so every distance keeps its bits.
+    """
+    n, m = X.shape
+    out = np.empty((n, len(centroids)))
+    rows = _block_rows(m)
+    buf = np.empty((min(rows, n), m))
+    for start in range(0, n, rows):
+        block = X[start : start + rows]
+        diff = buf[: block.shape[0]]
+        for h, z in enumerate(centroids):
+            np.subtract(block, z, out=diff)
+            np.einsum("nm,nm->n", diff, diff, out=out[start : start + rows, h])
+    return out
 
 
 def _ratio_masks(best, within) -> tuple[np.ndarray, np.ndarray]:

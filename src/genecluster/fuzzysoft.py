@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError, ValidationError
-from .ingest import LabelledMatrix
+from .ingest import LabelledMatrix, _block_rows
 
 __all__ = [
     "MembershipShape",
@@ -110,13 +110,24 @@ def fuzzify(matrix, kind: str = "s") -> MembershipMatrix:
 def _similarities(X, Z) -> np.ndarray:
     """Similarity of every row of X to every row of Z, as an (n, k) array.
 
-    One loop pass per row of Z keeps the temporaries at the size of X.
+    X is taken in row blocks: a block's |x - z| to one row of Z, then its
+    x + z, go into one reused buffer, summed per row by ``np.add.reduce``
+    as an unblocked ``.sum(axis=1)`` sums them, so every similarity keeps
+    its bits.
     """
-    S = np.empty((X.shape[0], Z.shape[0]), dtype=float)
-    for h in range(Z.shape[0]):
-        num = np.abs(X - Z[h]).sum(axis=1)
-        den = (X + Z[h]).sum(axis=1)
-        S[:, h] = np.where(den != 0, 1.0 - num / np.where(den != 0, den, 1.0), 1.0)
+    n, m = X.shape
+    S = np.empty((n, Z.shape[0]))
+    rows = _block_rows(m)
+    buf = np.empty((min(rows, n), m))
+    for start in range(0, n, rows):
+        block = X[start : start + rows]
+        tmp = buf[: block.shape[0]]
+        for h, z in enumerate(Z):
+            num = np.add.reduce(np.abs(np.subtract(block, z, out=tmp), out=tmp), axis=1)
+            den = np.add.reduce(np.add(block, z, out=tmp), axis=1)
+            S[start : start + rows, h] = np.where(
+                den != 0, 1.0 - num / np.where(den != 0, den, 1.0), 1.0
+            )
     return S
 
 

@@ -22,7 +22,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .ingest import ClassLabels, ExpressionMatrix, _write_csv
+from .ingest import ClassLabels, ExpressionMatrix, _block_rows, _write_csv
 
 __all__ = [
     "DiscretizationSpec",
@@ -36,9 +36,6 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-9
-# Genes are scored in row blocks of about this many matrix cells, so the
-# kernel's temporaries stay under 2 MB whatever the number of genes.
-_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -269,7 +266,7 @@ def rank_and_select(
 
     bins, n_classes = spec.bin_count, int(y.max()) + 1
     scores = np.empty(n)
-    rows = max(1, _BLOCK_CELLS // matrix.n_samples)
+    rows = _block_rows(matrix.n_samples)
     for start in range(0, n, rows):
         codes = _bin_codes(matrix.values[start : start + rows], bins)
         scores[start : start + rows] = _information_gain(

@@ -9,9 +9,10 @@ header row), laid out genes-as-rows:
     gene_n    w_n1      w_n2      ...  w_nm
 
 The corner cell is optional; its presence is inferred from the width of the
-body rows. An id holding the delimiter or a double quote is quoted CSV-style
-(``"HLA-DRB1,3"``, ``"a""b"``), as :func:`write_matrix` writes it. Label files
-are two columns per line, ``sample_id <delim> class``, quoted the same way.
+body rows. An id holding the delimiter, a double quote or a line break is
+quoted CSV-style (``"HLA-DRB1,3"``, ``"a""b"``), as :func:`write_matrix`
+writes it. Label files are two columns per record, ``sample_id <delim>
+class``, quoted the same way.
 Both UTF-8 (with or without a byte-order mark) with LF or CRLF line endings
 are accepted. Missing or non-numeric
 cells are rejected rather than imputed, since every downstream computation
@@ -22,9 +23,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,28 +44,53 @@ __all__ = [
 ]
 
 
+# Row-blocked kernels (gene ranking, distances, similarities) take about this
+# many matrix cells at a time, so their temporaries stay between a few hundred
+# kB and 2 MB whatever the number of rows.
+_BLOCK_CELLS = 1 << 15
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of a matrix ``width`` cells wide: about _BLOCK_CELLS cells."""
+    return max(1, _BLOCK_CELLS // max(1, width))
+
+
 def _sniff_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
-def _split(line: str, delim: str) -> list[str]:
-    """The fields of one line; a line holding a double quote is read as CSV."""
-    if '"' in line:
-        return next(csv.reader([line], delimiter=delim))
-    return line.split(delim)
+def _read_records(source, delimiter: str | None) -> tuple[int, Iterator[list[str]]]:
+    """The line count and the records of a path or an open text stream.
 
-
-def _read_lines(source) -> list[str]:
-    """Return the lines of a path or an open text stream, line endings stripped."""
+    Each record is a list of fields; no record is shorter than a line, so
+    the line count bounds the record count. The delimiter is ``delimiter``
+    or, when that is None, sniffed from the first line. Trailing blank lines
+    are dropped. Text holding a double quote is split by the ``csv`` module,
+    so a quoted field may hold the delimiter, a double quote or a line break;
+    other text is split on line breaks and the delimiter.
+    """
     if hasattr(source, "read"):
         text = source.read()
     else:
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
-    lines = text.splitlines()
+    quoted = '"' in text
+    # the csv module needs the line ends to keep a line break inside a field
+    lines = text.splitlines(keepends=quoted)
     while lines and not lines[-1].strip():
         lines.pop()
-    return lines
+    delim = delimiter or _sniff_delimiter(lines[0] if lines else "")
+    if quoted:
+        return len(lines), _csv_records(lines, delim)
+    return len(lines), (line.split(delim) for line in lines)
+
+
+def _csv_records(lines, delim: str) -> Iterator[list[str]]:
+    try:
+        # a blank line is one empty field, as str.split reads it
+        yield from (record or [""] for record in csv.reader(lines, delimiter=delim))
+    except csv.Error as exc:  # e.g. an unclosed quote running past the field size limit
+        raise ParseError(f"malformed quoted field: {exc}") from None
 
 
 def _check_unique(ids, what: str):
@@ -176,29 +204,28 @@ def parse_matrix(source, delimiter: str | None = None) -> ExpressionMatrix:
     comma, auto-detected from the header row unless given. Row and column
     numbers in errors are 1-based over body rows and data columns.
     """
-    lines = _read_lines(source)
-    if not lines:
+    n_lines, records = _read_records(source, delimiter)
+    header = next(records, None)
+    if header is None:
         raise ParseError("empty input: expected a header row of sample ids")
-    delim = delimiter or _sniff_delimiter(lines[0])
-    header = [f.strip() for f in _split(lines[0], delim)]
-    body = lines[1:]
+    header = [f.strip() for f in header]
 
-    if body:
-        m = len(_split(body[0], delim)) - 1
+    first = next(records, None)
+    if first is None:
+        m = len(header) - 1
+    else:
+        m = len(first) - 1
         if len(header) not in (m, m + 1):
             raise ParseError(
                 f"header has {len(header)} fields but body rows carry {m} data columns",
                 row=1,
             )
-    else:
-        m = len(header) - 1
+        records = itertools.chain([first], records)
     sample_ids = tuple(header[len(header) - m:]) if m > 0 else ()
 
-    n = len(body)
     gene_ids = []
-    values = np.empty((n, m), dtype=float)
-    for r, line in enumerate(body, start=1):
-        fields = _split(line, delim)
+    values = np.empty((n_lines - 1, m), dtype=float)
+    for r, fields in enumerate(records, start=1):
         if len(fields) != m + 1:
             raise ParseError(
                 f"row {r}: expected {m + 1} fields, found {len(fields)}", row=r
@@ -222,7 +249,7 @@ def parse_matrix(source, delimiter: str | None = None) -> ExpressionMatrix:
                 )
             values[r - 1, c - 1] = v
 
-    return ExpressionMatrix(tuple(gene_ids), sample_ids, values)
+    return ExpressionMatrix(tuple(gene_ids), sample_ids, values[: len(gene_ids)])
 
 
 def parse_labels(source, matrix: ExpressionMatrix, delimiter: str | None = None) -> ClassLabels:
@@ -231,14 +258,10 @@ def parse_labels(source, matrix: ExpressionMatrix, delimiter: str | None = None)
     Every matrix sample must receive exactly one label, no label may name an
     unknown sample, and at least two distinct classes must be present.
     """
-    lines = _read_lines(source)
-    if not lines:
-        raise ParseError("empty label file")
-    delim = delimiter or _sniff_delimiter(lines[0])
     known = set(matrix.sample_ids)
     mapping: dict[str, str] = {}
-    for r, line in enumerate(lines, start=1):
-        fields = [f.strip() for f in _split(line, delim)]
+    for r, record in enumerate(_read_records(source, delimiter)[1], start=1):
+        fields = [f.strip() for f in record]
         if len(fields) != 2:
             raise ParseError(
                 f"row {r}: expected 2 fields (sample id, class), found {len(fields)}",
@@ -252,6 +275,8 @@ def parse_labels(source, matrix: ExpressionMatrix, delimiter: str | None = None)
         if not tag:
             raise DataError(f"row {r}: empty class tag", row=r, column=2)
         mapping[sid] = tag
+    if not mapping:
+        raise ParseError("empty label file")
 
     labels = ClassLabels(mapping, matrix.sample_ids)
     if labels.n_classes < 2:
@@ -305,9 +330,8 @@ def write_matrix(matrix, dest, delimiter: str = "\t") -> None:
     Values are formatted with shortest round-trip ``repr``, so a written file
     parses back bit-identically. Works for any object exposing ``gene_ids``,
     ``sample_ids``, and ``values`` (membership matrices included). An id
-    holding the delimiter or a double quote is written quoted and read back
-    as it was; one holding a line break is written quoted too, but
-    :func:`parse_matrix` reads one line per row and rejects it.
+    holding the delimiter, a double quote or a line break is written quoted
+    and read back as it was.
     """
     rows = (
         (gid, *(repr(float(v)) for v in row)) for gid, row in zip(matrix.gene_ids, matrix.values)

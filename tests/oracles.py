@@ -1,11 +1,15 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here is deliberately pure Python (math module, dicts, explicit
-loops) so it shares no code path with the package under test.
+loops) so it shares no code path with the package under test, except the
+two unblocked numpy scoring formulas at the end: the row-blocked kernels
+must reproduce those bit for bit.
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def shannon_entropy(counts):
@@ -204,3 +208,19 @@ def fsrk_replay(memberships, initial_centroids, epsilon, w_lower, w_upper,
         centroids,
         iterations,
     )
+
+
+def sq_distances_broadcast(X, centroids):
+    """Squared distances through one (n, k, m) difference array."""
+    diff = X[:, None, :] - centroids[None, :, :]
+    return np.einsum("nkm,nkm->nk", diff, diff)
+
+
+def similarities_per_centroid(X, Z):
+    """Soft-set similarities through whole-matrix temporaries, one centroid at a time."""
+    S = np.empty((X.shape[0], Z.shape[0]), dtype=float)
+    for h in range(Z.shape[0]):
+        num = np.abs(X - Z[h]).sum(axis=1)
+        den = (X + Z[h]).sum(axis=1)
+        S[:, h] = np.where(den != 0, 1.0 - num / np.where(den != 0, den, 1.0), 1.0)
+    return S

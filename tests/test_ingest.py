@@ -207,6 +207,29 @@ class TestQuotedIds:
         assert again.sample_ids == matrix.sample_ids
         assert np.array_equal(again.values, matrix.values)
 
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_ids_with_line_breaks_round_trip(self, delimiter):
+        matrix = ExpressionMatrix(
+            ("a\nb", "c\r\nd", "g3"), ("s\n1", "s2"), [[1.0, 2.0], [3.0, 4.5], [5.0, 6.0]]
+        )
+        buf = io.StringIO()
+        write_matrix(matrix, buf, delimiter=delimiter)
+        again = parse_matrix(io.StringIO(buf.getvalue()))
+        assert again.gene_ids == matrix.gene_ids
+        assert again.sample_ids == matrix.sample_ids
+        assert np.array_equal(again.values, matrix.values)
+
+    def test_unclosed_quote_is_a_parse_error(self):
+        # the open quote takes in every later line, past the csv field size limit
+        rows = "".join(f"g{i}\t{i}.5\n" for i in range(1, 20000))
+        with pytest.raises(ParseError):
+            parse_matrix(io.StringIO('gene_id\ts1\n"g0\t1\n' + rows))
+
+    def test_blank_line_in_quoted_text_is_one_empty_field(self):
+        with pytest.raises(ParseError, match="row 2: expected 2 fields, found 1"):
+            parse_matrix(io.StringIO('gene_id\ts1\n"a"\t1\n\ng2\t3\n'))
+        assert parse_matrix(io.StringIO('\n\n"x"\n')).gene_ids == ("", "x")
+
     def test_quoted_row_keeps_row_and_column_errors(self):
         text = 'gene_id,s1,s2\n"a,b",1,x\n'
         with pytest.raises(DataError) as err:
@@ -256,6 +279,11 @@ class TestParseLabels:
         m = ExpressionMatrix(("g1",), ("s,1", 's"2'), [[1.0, 2.0]])
         labels = parse_labels(io.StringIO('"s,1",ALL\n"s""2",AML\n'), m)
         assert labels.labels == {"s,1": "ALL", 's"2': "AML"}
+
+    def test_quoted_sample_id_with_line_break(self):
+        m = ExpressionMatrix(("g1",), ("s\n1", "s2"), [[1.0, 2.0]])
+        labels = parse_labels(io.StringIO('"s\n1",ALL\ns2,AML\n'), m)
+        assert labels.labels == {"s\n1": "ALL", "s2": "AML"}
 
 
 class TestClassLabelsType:
