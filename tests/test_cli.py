@@ -272,6 +272,39 @@ def test_pinned_output_bytes(tmp_path):
     assert got == PINNED_SHA256
 
 
+# sha256 of the outputs of a seeded raw-scale 120x12 fsrk run at k=2 with 3
+# restarts. Every restart's centroids return bit for bit to those of an
+# earlier pass (period 2) and run on to max_iter; an odd max_iter ends the
+# winning restart on the other state of its cycle than the pass that closed it.
+CYCLING_SHA256 = {
+    "report.csv": "afa1518e2247f6e5870f44e2dc8e2428b89843714549c72565bf717a14eeb552",
+    "assignments-fsrk.csv": "ab19e28f2110e6de0942698d9f2b076316cca280fc8f7338b9d41f870d3efff3",
+}
+
+
+def test_pinned_output_bytes_cycling_fsrk(tmp_path):
+    rng = np.random.default_rng(11)
+    n, m = 120, 12
+    centers = rng.normal(7.0, 1.5, size=(4, m))
+    group = rng.integers(0, 4, size=n)
+    level = centers[group] + rng.normal(0.0, 0.3, size=(n, m))
+    values = np.round(2.0 ** level + rng.normal(0.0, 60.0, size=(n, m)))
+    matrix_path, labels_path = write_dataset(
+        tmp_path, values, ["A"] * 6 + ["B"] * 6, stem="cycle"
+    )
+    out = tmp_path / "out"
+    run_experiment(ExperimentConfig(
+        matrix=matrix_path, labels=labels_path, out=out, k=2, restarts=3, seed=0,
+        max_iter=39, algorithms=("fsrk",),
+    ))
+    rows = json.loads((out / "report.json").read_text())
+    assert [(r["algorithm"], r["iterations"], r["converged"]) for r in rows] == [
+        ("fsrk", 39, False)
+    ]
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in CYCLING_SHA256}
+    assert got == CYCLING_SHA256
+
+
 def report_row(dataset, algorithm, db, xb=0.5, sse=1.0, iterations=5):
     return ValidityReport(
         dataset=dataset, algorithm=algorithm, db_index=db, xb_index=xb,
