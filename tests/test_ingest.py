@@ -225,6 +225,26 @@ class TestQuotedIds:
         with pytest.raises(ParseError):
             parse_matrix(io.StringIO('gene_id\ts1\n"g0\t1\n' + rows))
 
+    @pytest.mark.parametrize("text, line", [
+        ('gene_id\ts1\n"g1\t1.0\ng2\t2.0\n', 2),
+        ('gene_id\ts1\ng1\t"1.0\ng2\t2.0\n', 2),
+        ('gene_id\t"s1\ng1\t1.0\n', 1),
+        ('gene_id\ts1\ng1\t1.0\n"g2\t2.0', 3),
+    ])
+    def test_unclosed_quote_names_the_line_it_opens(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: unclosed double quote"):
+            parse_matrix(io.StringIO(text))
+
+    def test_unclosed_quote_in_label_file(self):
+        m = ExpressionMatrix(("g1",), ("s1", "s2"), [[1.0, 2.0]])
+        with pytest.raises(ParseError, match="^line 2: unclosed double quote"):
+            parse_labels(io.StringIO('s1\tALL\n"s2\tAML\n'), m)
+
+    def test_quoted_last_record_without_line_end(self):
+        matrix = parse_matrix(io.StringIO('gene_id\ts1\n"g\n1"\t1.0'))
+        assert matrix.gene_ids == ("g\n1",)
+        assert matrix.values.tolist() == [[1.0]]
+
     def test_blank_line_in_quoted_text_is_one_empty_field(self):
         with pytest.raises(ParseError, match="row 2: expected 2 fields, found 1"):
             parse_matrix(io.StringIO('gene_id\ts1\n"a"\t1\n\ng2\t3\n'))
