@@ -67,7 +67,8 @@ def _read_records(source, delimiter: str | None) -> tuple[int, Iterator[list[str
     or, when that is None, sniffed from the first line. Trailing blank lines
     are dropped. Text holding a double quote is split by the ``csv`` module,
     so a quoted field may hold the delimiter, a double quote or a line break;
-    other text is split on line breaks and the delimiter.
+    a quote left open is a ParseError naming the line it opens on. Other
+    text is split on line breaks and the delimiter.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -86,11 +87,25 @@ def _read_records(source, delimiter: str | None) -> tuple[int, Iterator[list[str
 
 
 def _csv_records(lines, delim: str) -> Iterator[list[str]]:
+    # One line end past the input: a quoted field still open at the end takes
+    # it in, while after a closed record it is read as one empty record.
+    reader = csv.reader(itertools.chain(lines, ["\n"]), delimiter=delim)
+    start = 1
     try:
-        # a blank line is one empty field, as str.split reads it
-        yield from (record or [""] for record in csv.reader(lines, delimiter=delim))
+        for record in reader:
+            if reader.line_num > len(lines):
+                if record:
+                    # the open field runs from its quote to the end, the extra line end included
+                    opened = len(lines) + 1 - max(1, len(record[-1][:-1].splitlines()))
+                    raise ParseError(
+                        f"line {opened}: unclosed double quote runs to the end of the input"
+                    )
+                return
+            # a blank line is one empty field, as str.split reads it
+            yield record or [""]
+            start = reader.line_num + 1
     except csv.Error as exc:  # e.g. an unclosed quote running past the field size limit
-        raise ParseError(f"malformed quoted field: {exc}") from None
+        raise ParseError(f"line {start}: malformed quoted field: {exc}") from None
 
 
 def _check_unique(ids, what: str):
