@@ -22,6 +22,12 @@ all genes. Exact distance/similarity ties go to the lowest cluster index
 before the ratio test, so a tied competitor never widens the boundary; with
 epsilon at its crisp setting every gene therefore lands in exactly one lower
 approximation. Results, hooks and public helpers see frozensets.
+
+A run whose centroids return bit for bit to those of an earlier pass is
+periodic from there on and can no longer converge. The engine then stops and
+returns the state that pass max_iter would end on (iterations = max_iter,
+converged false), equal bit for bit to running every pass. With a hook or an
+observer every pass still runs, so the hook sees each one.
 """
 
 from __future__ import annotations
@@ -265,6 +271,12 @@ def _update_centroids(X, lower, upper, w_lower, w_upper, previous) -> np.ndarray
 def _engine(X, params, rule, epsilon, initial_centroids, observe):
     """The assign/update loop of all three engines; ``rule(X, Z, epsilon)``
     gives (scores, lower, upper), and ``observe`` sees them every pass.
+
+    A pass maps centroids to centroids through X and the fixed parameters
+    only. So once pass t ends on the centroids of an earlier pass s (pass 0
+    being the initial centroids), passes s+1..t repeat with period t - s and
+    none of them converges. Without ``observe`` the loop then stops and
+    returns the state pass ``max_iter`` would end on.
     """
     if X.size and not np.isfinite(X).all():
         raise DomainError("clustering input must be finite")
@@ -276,6 +288,8 @@ def _engine(X, params, rule, epsilon, initial_centroids, observe):
 
     converged = False
     had_empty = False
+    history = [centroids]  # history[p]: the centroids pass p ended on
+    seen = {centroids.tobytes(): 0}
     for iterations in range(1, params.max_iter + 1):
         scores, lower, upper = rule(X, centroids, epsilon)
         if observe is not None:
@@ -287,6 +301,15 @@ def _engine(X, params, rule, epsilon, initial_centroids, observe):
         if shift <= params.tol:
             converged = True
             break
+        if observe is None:
+            s = seen.setdefault(centroids.tobytes(), iterations)
+            if s < iterations:
+                last = s + 1 + (params.max_iter - s - 1) % (iterations - s)
+                if last < iterations:
+                    _, lower, upper = rule(X, history[last - 1], epsilon)
+                    centroids = history[last]
+                return lower, upper, centroids, params.max_iter, False, had_empty
+            history.append(centroids)
     return lower, upper, centroids, iterations, converged, had_empty
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from genecluster import clustering
 from genecluster.clustering import (
     RoughParams,
     fsrk_assign,
@@ -13,6 +14,7 @@ from genecluster.clustering import (
     rough_kmeans,
 )
 from genecluster.errors import DomainError, ParameterError
+from genecluster.fuzzysoft import _similarities as similarities
 from genecluster.fuzzysoft import similarity
 
 
@@ -363,6 +365,46 @@ class TestFsrkKMeans:
         b = fsrk_kmeans(memberships, params)
         assert a.lower == b.lower and a.upper == b.upper
         assert np.array_equal(a.centroids, b.centroids)
+
+
+
+# fsrk runs whose centroids come back bit for bit to an earlier pass's:
+# (data seed, k, run seed, s, t) where pass t ends on the centroids of pass s,
+# pass 0 being the initial centroids.
+CYCLING_FSRK_RUNS = [(24, 2, 2, 3, 5), (26, 3, 1, 14, 17)]
+
+
+class TestCycleShortcut:
+    @pytest.mark.parametrize("data_seed, k, seed, s, t", CYCLING_FSRK_RUNS)
+    def test_equals_the_full_loop_at_every_max_iter(self, data_seed, k, seed, s, t):
+        memberships = np.random.default_rng(data_seed).random((30, 6))
+        for max_iter in range(1, t + 3 * (t - s) + 1):
+            params = RoughParams(k=k, seed=seed, max_iter=max_iter)
+            fast = fsrk_kmeans(memberships, params)
+            seen = []  # a hook turns the shortcut off: every pass runs
+            full = fsrk_kmeans(memberships, params,
+                               on_iteration=lambda it, lo, up, Z: seen.append(Z.tobytes()))
+            assert len(seen) == full.iterations == max_iter and not full.converged
+            if max_iter > t:
+                assert seen[t] == seen[s] and len(set(seen[:t])) == t
+            assert (fast.lower, fast.upper) == (full.lower, full.upper)
+            assert fast.centroids.tobytes() == full.centroids.tobytes()
+            assert (fast.iterations, fast.converged, fast.had_empty_cluster) == (
+                full.iterations, full.converged, full.had_empty_cluster)
+
+    @pytest.mark.parametrize("data_seed, k, seed, s, t", CYCLING_FSRK_RUNS)
+    def test_rule_stops_running_after_the_repeat(self, monkeypatch, data_seed, k, seed, s, t):
+        calls = []
+
+        def counting(M, Z):
+            calls.append(1)
+            return similarities(M, Z)
+
+        monkeypatch.setattr(clustering, "_similarities", counting)
+        memberships = np.random.default_rng(data_seed).random((30, 6))
+        result = fsrk_kmeans(memberships, RoughParams(k=k, seed=seed, max_iter=100))
+        assert result.iterations == 100 and not result.converged
+        assert len(calls) <= t + 1
 
 
 class TestRoughParams:
