@@ -14,7 +14,6 @@ from genecluster.clustering import (
     rough_kmeans,
 )
 from genecluster.errors import DomainError, ParameterError
-from genecluster.fuzzysoft import _similarities as similarities
 from genecluster.fuzzysoft import similarity
 
 
@@ -367,7 +366,6 @@ class TestFsrkKMeans:
         assert np.array_equal(a.centroids, b.centroids)
 
 
-
 # fsrk runs whose centroids come back bit for bit to an earlier pass's:
 # (data seed, k, run seed, s, t) where pass t ends on the centroids of pass s,
 # pass 0 being the initial centroids.
@@ -395,6 +393,7 @@ class TestCycleShortcut:
     @pytest.mark.parametrize("data_seed, k, seed, s, t", CYCLING_FSRK_RUNS)
     def test_rule_stops_running_after_the_repeat(self, monkeypatch, data_seed, k, seed, s, t):
         calls = []
+        similarities = clustering._similarities
 
         def counting(M, Z):
             calls.append(1)

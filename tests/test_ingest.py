@@ -235,6 +235,11 @@ class TestQuotedIds:
         with pytest.raises(ParseError, match=f"^line {line}: unclosed double quote"):
             parse_matrix(io.StringIO(text))
 
+    def test_quote_past_the_field_size_limit_names_its_line(self):
+        rows = "".join(f"g{i}\t{i}.5\n" for i in range(2, 20000))
+        with pytest.raises(ParseError, match="^line 3: malformed quoted field"):
+            parse_matrix(io.StringIO('gene_id\ts1\ng0\t1\n"g1\t1\n' + rows))
+
     def test_unclosed_quote_in_label_file(self):
         m = ExpressionMatrix(("g1",), ("s1", "s2"), [[1.0, 2.0]])
         with pytest.raises(ParseError, match="^line 2: unclosed double quote"):
