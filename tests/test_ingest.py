@@ -20,6 +20,10 @@ from genecluster.ingest import (
 )
 
 
+# characters str.splitlines breaks at besides \n and \r
+STR_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 def matrix_text(rows, header=("gene_id", "s1", "s2"), delim="\t"):
     lines = [delim.join(header)]
     lines.extend(delim.join(str(c) for c in row) for row in rows)
@@ -217,6 +221,28 @@ class TestQuotedIds:
         again = parse_matrix(io.StringIO(buf.getvalue()))
         assert again.gene_ids == matrix.gene_ids
         assert again.sample_ids == matrix.sample_ids
+        assert np.array_equal(again.values, matrix.values)
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    @pytest.mark.parametrize("char", STR_LINE_BREAKS)
+    def test_ids_with_other_str_line_breaks_round_trip(self, char, delimiter):
+        # the csv module writes these unquoted; only \n, \r\n and \r end a line
+        matrix = ExpressionMatrix((f"a{char}b", "g2"), (f"s{char}1",), [[1.0], [2.0]])
+        buf = io.StringIO()
+        write_matrix(matrix, buf, delimiter=delimiter)
+        again = parse_matrix(io.StringIO(buf.getvalue()))
+        assert again.gene_ids == matrix.gene_ids
+        assert again.sample_ids == matrix.sample_ids
+        assert np.array_equal(again.values, matrix.values)
+
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    @pytest.mark.parametrize("char", STR_LINE_BREAKS)
+    def test_other_str_line_breaks_beside_a_quoted_id(self, char, delimiter):
+        matrix = ExpressionMatrix((f"a{char}b", 'q"d'), ("s1",), [[1.0], [2.0]])
+        buf = io.StringIO()
+        write_matrix(matrix, buf, delimiter=delimiter)
+        again = parse_matrix(io.StringIO(buf.getvalue()))
+        assert again.gene_ids == matrix.gene_ids
         assert np.array_equal(again.values, matrix.values)
 
     def test_unclosed_quote_is_a_parse_error(self):
