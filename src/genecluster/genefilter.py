@@ -285,8 +285,9 @@ def rank_and_select(
 
 def write_ranking(ranking: GeneRanking, gene_ids, dest) -> None:
     """Dump a ranking as CSV rows of gene_id, ig_bits, rank (1-based)."""
+    scores = ranking.scores.tolist()
     rows = (
-        (gene_ids[idx], repr(float(ranking.scores[idx])), rank)
-        for rank, idx in enumerate(ranking.order, start=1)
+        (gene_ids[idx], repr(scores[idx]), rank)
+        for rank, idx in enumerate(ranking.order.tolist(), start=1)
     )
     _write_csv(dest, ("gene_id", "ig_bits", "rank"), rows)

@@ -59,16 +59,16 @@ def _sniff_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
-def _read_records(source, delimiter: str | None) -> tuple[int, Iterator[list[str]]]:
-    """The line count and the records of a path or an open text stream.
+def _read_lines(source, delimiter: str | None) -> tuple[list[str], str, bool]:
+    """The lines of a path or an open text stream, their delimiter, and whether they hold a quote.
 
-    Each record is a list of fields; no record is shorter than a line, so
-    the line count bounds the record count. The delimiter is ``delimiter``
-    or, when that is None, sniffed from the first line. Trailing blank lines
-    are dropped. Text holding a double quote is split by the ``csv`` module,
-    so a quoted field may hold the delimiter, a double quote or a line break;
-    a quote left open is a ParseError naming the line it opens on. Other
-    text is split on line breaks and the delimiter.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, as ``io.StringIO(text,
+    newline="")`` splits them; ``str.splitlines`` would also break at
+    characters such as ``\\x0c`` or ``\\u2028``, which the ``csv`` module
+    writes unquoted. Lines of text holding a double quote keep their line
+    ends, for the ``csv`` module; other lines lose them. Trailing blank lines
+    are dropped. The delimiter is ``delimiter`` or, when that is None,
+    sniffed from the first line.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -76,14 +76,29 @@ def _read_records(source, delimiter: str | None) -> tuple[int, Iterator[list[str
         with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     quoted = '"' in text
-    # the csv module needs the line ends to keep a line break inside a field
-    lines = text.splitlines(keepends=quoted)
+    if quoted:
+        # the csv module needs the line ends to keep a line break inside a field
+        lines = io.StringIO(text, newline="").readlines()
+    else:
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     while lines and not lines[-1].strip():
         lines.pop()
     delim = delimiter or _sniff_delimiter(lines[0] if lines else "")
+    return lines, delim, quoted
+
+
+def _records(lines: list[str], delim: str, quoted: bool) -> Iterator[list[str]]:
+    """The records of lines read by :func:`_read_lines`, each a list of fields.
+
+    No record is shorter than a line, so the line count bounds the record
+    count. Quoted text is split by the ``csv`` module, so a quoted field may
+    hold the delimiter, a double quote or a line break; a quote left open is
+    a ParseError naming the line it opens on. Other lines are split on the
+    delimiter.
+    """
     if quoted:
-        return len(lines), _csv_records(lines, delim)
-    return len(lines), (line.split(delim) for line in lines)
+        return _csv_records(lines, delim)
+    return (line.split(delim) for line in lines)
 
 
 def _csv_records(lines, delim: str) -> Iterator[list[str]]:
@@ -96,7 +111,8 @@ def _csv_records(lines, delim: str) -> Iterator[list[str]]:
             if reader.line_num > len(lines):
                 if record:
                     # the open field runs from its quote to the end, the extra line end included
-                    opened = len(lines) + 1 - max(1, len(record[-1][:-1].splitlines()))
+                    spanned = io.StringIO(record[-1][:-1], newline="").readlines()
+                    opened = len(lines) + 1 - max(1, len(spanned))
                     raise ParseError(
                         f"line {opened}: unclosed double quote runs to the end of the input"
                     )
@@ -219,7 +235,52 @@ def parse_matrix(source, delimiter: str | None = None) -> ExpressionMatrix:
     comma, auto-detected from the header row unless given. Row and column
     numbers in errors are 1-based over body rows and data columns.
     """
-    n_lines, records = _read_records(source, delimiter)
+    lines, delim, quoted = _read_lines(source, delimiter)
+    matrix = None if quoted else _matrix_in_bulk(lines, delim)
+    return matrix if matrix is not None else _matrix_by_cell(lines, delim, quoted)
+
+
+def _matrix_in_bulk(lines: list[str], delim: str) -> ExpressionMatrix | None:
+    """The matrix of unquoted ``lines`` read in one numpy pass, or None on any doubt.
+
+    None means :func:`_matrix_by_cell` must read the lines, and gives the
+    same matrix or raises the error it always raised. The pass only takes
+    input that loop reads without error: at least one body row and one data
+    column, a header of m or m + 1 fields, exactly m delimiters on every
+    body line (``usecols`` would drop extra fields, and ``loadtxt`` skips
+    blank lines), and finite values only. Each cell is parsed as the loop
+    parses it: ``loadtxt`` strips the same whitespace as ``str.strip`` and
+    hands the rest to ``PyOS_string_to_double``, as ``float()`` does; it
+    rejects what ``float()`` alone takes (underscores, non-ASCII digits),
+    and those cells fall to the loop.
+    """
+    body = lines[1:]
+    m = body[0].count(delim) if body else 0
+    header = [f.strip() for f in lines[0].split(delim)] if lines else []
+    if m == 0 or len(header) not in (m, m + 1):
+        return None
+    if any(line.count(delim) != m for line in body):
+        return None
+    try:
+        # comments=None: the default "#" would cut an id such as g#1
+        values = np.loadtxt(
+            body, delimiter=delim, usecols=range(1, m + 1), comments=None,
+            quotechar=None, ndmin=2, dtype=float,
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    gene_ids = tuple(line.split(delim, 1)[0].strip() for line in body)
+    return ExpressionMatrix(gene_ids, tuple(header[len(header) - m:]), values)
+
+
+def _matrix_by_cell(lines: list[str], delim: str, quoted: bool) -> ExpressionMatrix:
+    """The matrix of lines read by :func:`_read_lines`, parsed one cell at a time.
+
+    Every fault raises the error that names its row and column.
+    """
+    records = _records(lines, delim, quoted)
     header = next(records, None)
     if header is None:
         raise ParseError("empty input: expected a header row of sample ids")
@@ -239,7 +300,7 @@ def parse_matrix(source, delimiter: str | None = None) -> ExpressionMatrix:
     sample_ids = tuple(header[len(header) - m:]) if m > 0 else ()
 
     gene_ids = []
-    values = np.empty((n_lines - 1, m), dtype=float)
+    values = np.empty((len(lines) - 1, m), dtype=float)
     for r, fields in enumerate(records, start=1):
         if len(fields) != m + 1:
             raise ParseError(
@@ -275,7 +336,7 @@ def parse_labels(source, matrix: ExpressionMatrix, delimiter: str | None = None)
     """
     known = set(matrix.sample_ids)
     mapping: dict[str, str] = {}
-    for r, record in enumerate(_read_records(source, delimiter)[1], start=1):
+    for r, record in enumerate(_records(*_read_lines(source, delimiter)), start=1):
         fields = [f.strip() for f in record]
         if len(fields) != 2:
             raise ParseError(

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from genecluster import ingest
 from genecluster.errors import (
     DataError,
     DegenerateLabelsError,
+    GeneClusterError,
     ParseError,
     ValidationError,
 )
@@ -261,6 +263,11 @@ class TestQuotedIds:
         with pytest.raises(ParseError, match=f"^line {line}: unclosed double quote"):
             parse_matrix(io.StringIO(text))
 
+    @pytest.mark.parametrize("char", STR_LINE_BREAKS)
+    def test_unclosed_quote_line_counts_only_line_ends(self, char):
+        with pytest.raises(ParseError, match="^line 2: unclosed double quote"):
+            parse_matrix(io.StringIO(f'gene_id\ts1\n"g1{char}\t1.0\ng2\t2.0\n'))
+
     def test_quote_past_the_field_size_limit_names_its_line(self):
         rows = "".join(f"g{i}\t{i}.5\n" for i in range(2, 20000))
         with pytest.raises(ParseError, match="^line 3: malformed quoted field"):
@@ -286,6 +293,129 @@ class TestQuotedIds:
         with pytest.raises(DataError) as err:
             parse_matrix(io.StringIO(text))
         assert (err.value.row, err.value.column) == (1, 2)
+
+
+def outcome(read, source):
+    """What reading ``source`` gives: ids and value bits, or the error's type and text."""
+    try:
+        m = read(source)
+    except GeneClusterError as exc:
+        return type(exc), str(exc)
+    if m is None:
+        return None
+    return m.gene_ids, m.sample_ids, m.values.shape, m.values.tobytes()
+
+
+def by_cell(source):
+    return ingest._matrix_by_cell(*ingest._read_lines(source, None))
+
+
+def in_bulk(source):
+    lines, delim, quoted = ingest._read_lines(source, None)
+    assert not quoted
+    return ingest._matrix_in_bulk(lines, delim)
+
+
+# cells the bulk pass must read as the per-cell loop does, or leave to it
+ODD_CELLS = [
+    "1_0", "١", "nan", "-inf", "1e999", "", "#", "  2.5 ", "\x1f3\x1f",
+    "\x0b-4\x0c", "\xa01e-3 ", "-0.0", "4.9e-324", "0x10", "1e", "+.5",
+]
+
+
+class TestBulkReadEqualsCellLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=4),
+        m=st.integers(min_value=1, max_value=3),
+        delim=st.sampled_from(["\t", ","]),
+        corner=st.booleans(),
+        line_end=st.sampled_from(["\n", "\r\n"]),
+        data=st.data(),
+    )
+    def test_same_matrix_or_same_error(self, n, m, delim, corner, line_end, data):
+        number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+        cells = data.draw(
+            st.lists(st.lists(number, min_size=m, max_size=m), min_size=n, max_size=n)
+        )
+        # replace a few cells with odd ones, so both clean and odd matrices occur
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+            i = data.draw(st.integers(min_value=0, max_value=n - 1))
+            j = data.draw(st.integers(min_value=0, max_value=m - 1))
+            cells[i][j] = data.draw(st.sampled_from(ODD_CELLS))
+        ids = data.draw(
+            st.lists(st.sampled_from(["g1", "g#2", " g3 ", "g4", "g\x1f5"]), min_size=n, max_size=n)
+        )
+        header = (["gene_id"] if corner else []) + [f"s{j}" for j in range(m)]
+        rows = [delim.join(header)] + [delim.join([g, *row]) for g, row in zip(ids, cells)]
+        text = line_end.join(rows) + line_end
+
+        expected = outcome(by_cell, io.StringIO(text))
+        assert outcome(parse_matrix, io.StringIO(text)) == expected
+        assert outcome(in_bulk, io.StringIO(text)) in (None, expected)
+
+    @pytest.mark.parametrize("text, error", [
+        # an extra trailing field, which usecols would drop
+        ("gene_id\ts1\ts2\ng1\t1\t2\ng2\t3\t4\t5\n",
+         (ParseError, "row 2: expected 3 fields, found 4")),
+        ("gene_id,s1\ng1,1\ng2,2,\n", (ParseError, "row 2: expected 2 fields, found 3")),
+        # a blank line mid-body, which loadtxt would skip
+        ("gene_id\ts1\ng1\t1\n\ng2\t2\n", (ParseError, "row 2: expected 2 fields, found 1")),
+        ("gene_id\ts1\ng1\t1\n \ng2\t2\n", (ParseError, "row 2: expected 2 fields, found 1")),
+        # missing values
+        ("gene_id,s1,s2\ng1,1,\n", (DataError, "row 1, column 2: missing value")),
+        ("gene_id,s1,s2\ng1,1,2\ng2, ,3\n", (DataError, "row 2, column 1: missing value")),
+        # header widths the body does not fit
+        ("gene_id\ts1\ts2\ts3\ng1\t1\n",
+         (ParseError, "header has 4 fields but body rows carry 1 data columns")),
+        ("gene_id\ng1,1,2\n", (ParseError, "header has 1 fields but body rows carry 2 data columns")),
+        # values the loop rejects
+        ("gene_id\ts1\ng1\tinf\n", (DataError, "row 1, column 1: non-finite value 'inf'")),
+        ("gene_id\ts1\ng1\t1e999\n", (DataError, "row 1, column 1: non-finite value '1e999'")),
+        ("gene_id\ts1\ng1\t1\ng2\tx\n", (DataError, "row 2, column 1: non-numeric value 'x'")),
+        ("gene_id\ts1\ng1\t1#2\n", (DataError, "row 1, column 1: non-numeric value '1#2'")),
+    ])
+    def test_doubtful_input_gives_the_loop_error(self, text, error):
+        assert outcome(in_bulk, io.StringIO(text)) is None
+        assert outcome(parse_matrix, io.StringIO(text)) == error
+        assert outcome(by_cell, io.StringIO(text)) == error
+
+    @pytest.mark.parametrize("text, expected", [
+        # with and without the corner cell
+        ("gene_id\ts1\ts2\ng1\t1\t2\ng2\t3\t4\n", (("g1", "g2"), ("s1", "s2"), [[1, 2], [3, 4]])),
+        ("s1\ts2\ng1\t1\t2\ng2\t3\t4\n", (("g1", "g2"), ("s1", "s2"), [[1, 2], [3, 4]])),
+        # an id holding "#", which loadtxt's default comments would cut
+        ("gene_id,s1\ng#1,1.5\ng2 # x,-2\n", (("g#1", "g2 # x"), ("s1",), [[1.5], [-2.0]])),
+        # padding the loop strips; line ends other than \n
+        ("gene_id,s1\n g1 ,\x1f7\x0c\r\ng2, 8\r", (("g1", "g2"), ("s1",), [[7.0], [8.0]])),
+    ])
+    def test_clean_input_is_read_in_bulk(self, text, expected):
+        bulk = in_bulk(io.StringIO(text))
+        assert bulk is not None
+        gene_ids, sample_ids, values = expected
+        for matrix in (bulk, parse_matrix(io.StringIO(text)), by_cell(io.StringIO(text))):
+            assert (matrix.gene_ids, matrix.sample_ids) == (gene_ids, sample_ids)
+            assert matrix.values.tolist() == values
+
+    def test_crlf_with_bom_from_a_path(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(b"\xef\xbb\xbfgene_id\ts1\ts2\r\ng1\t1\t2\r\ng2\t3\t-4.5\r\n")
+        assert in_bulk(path) is not None
+        assert outcome(parse_matrix, path) == outcome(by_cell, path)
+        matrix = parse_matrix(path)
+        assert matrix.sample_ids == ("s1", "s2")
+        assert matrix.values.tolist() == [[1.0, 2.0], [3.0, -4.5]]
+
+    def test_dataset_scale_bulk_read_is_bit_exact(self):
+        rng = np.random.default_rng(1)
+        values = rng.normal(scale=1e3, size=(500, 34)) * 10.0 ** rng.integers(-300, 300, (500, 34))
+        matrix = ExpressionMatrix(
+            tuple(f"g{i}" for i in range(500)), tuple(f"s{j}" for j in range(34)), values
+        )
+        buf = io.StringIO()
+        write_matrix(matrix, buf)
+        assert in_bulk(io.StringIO(buf.getvalue())) is not None
+        assert np.array_equal(parse_matrix(io.StringIO(buf.getvalue())).values, values)
 
 
 def two_class_matrix():
