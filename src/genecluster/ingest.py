@@ -14,9 +14,15 @@ quoted CSV-style (``"HLA-DRB1,3"``, ``"a""b"``), as :func:`write_matrix`
 writes it. Label files are two columns per record, ``sample_id <delim>
 class``, quoted the same way.
 Both UTF-8 (with or without a byte-order mark) with LF or CRLF line endings
-are accepted. Missing or non-numeric
+are accepted; lines end at LF, CRLF or CR only. Missing or non-numeric
 cells are rejected rather than imputed, since every downstream computation
 assumes complete data.
+
+A matrix file holding no double quote is read in one numpy pass
+(``np.loadtxt``). Any input that pass has a doubt about (a ragged or blank
+line, a value only ``float()`` accepts, a missing or non-finite value) is
+read cell by cell instead, and gives the same matrix or the same error as
+it would without the pass.
 """
 
 from __future__ import annotations
@@ -254,9 +260,10 @@ def _matrix_in_bulk(lines: list[str], delim: str) -> ExpressionMatrix | None:
     rejects what ``float()`` alone takes (underscores, non-ASCII digits),
     and those cells fall to the loop.
     """
-    body = lines[1:]
-    m = body[0].count(delim) if body else 0
-    header = [f.strip() for f in lines[0].split(delim)] if lines else []
+    if len(lines) < 2:
+        return None
+    header, body = lines[0].split(delim), lines[1:]
+    m = body[0].count(delim)
     if m == 0 or len(header) not in (m, m + 1):
         return None
     if any(line.count(delim) != m for line in body):
@@ -272,7 +279,8 @@ def _matrix_in_bulk(lines: list[str], delim: str) -> ExpressionMatrix | None:
     if not np.isfinite(values).all():
         return None
     gene_ids = tuple(line.split(delim, 1)[0].strip() for line in body)
-    return ExpressionMatrix(gene_ids, tuple(header[len(header) - m:]), values)
+    sample_ids = tuple(f.strip() for f in header[len(header) - m:])
+    return ExpressionMatrix(gene_ids, sample_ids, values)
 
 
 def _matrix_by_cell(lines: list[str], delim: str, quoted: bool) -> ExpressionMatrix:
