@@ -251,16 +251,17 @@ def _matrix_in_bulk(lines: list[str], delim: str) -> ExpressionMatrix | None:
 
     None means :func:`_matrix_by_cell` must read the lines, and gives the
     same matrix or raises the error it always raised. The pass only takes
-    input that loop reads without error: at least one body row and one data
-    column, a header of m or m + 1 fields, exactly m delimiters on every
-    body line (``usecols`` would drop extra fields, and ``loadtxt`` skips
-    blank lines), and finite values only. Each cell is parsed as the loop
-    parses it: ``loadtxt`` strips the same whitespace as ``str.strip`` and
-    hands the rest to ``PyOS_string_to_double``, as ``float()`` does; it
-    rejects what ``float()`` alone takes (underscores, non-ASCII digits),
-    and those cells fall to the loop.
+    input that loop reads without error: a tab or comma delimiter, at least
+    one body row and one data column, a header of m or m + 1 fields, exactly
+    m delimiters on every body line (``usecols`` would drop extra fields, and
+    ``loadtxt`` skips blank lines), and finite values only. Each cell is
+    parsed as the loop parses it: ``loadtxt`` strips the whitespace
+    ``str.strip`` strips and hands the ASCII rest to
+    ``PyOS_string_to_double``, the routine ``float()`` ends in. A cell that
+    ``float()`` alone reads (an underscore, a non-ASCII digit) makes
+    ``loadtxt`` raise, and falls to the loop.
     """
-    if len(lines) < 2:
+    if len(lines) < 2 or delim not in ("\t", ","):
         return None
     header, body = lines[0].split(delim), lines[1:]
     m = body[0].count(delim)
@@ -286,7 +287,7 @@ def _matrix_in_bulk(lines: list[str], delim: str) -> ExpressionMatrix | None:
 def _matrix_by_cell(lines: list[str], delim: str, quoted: bool) -> ExpressionMatrix:
     """The matrix of lines read by :func:`_read_lines`, parsed one cell at a time.
 
-    Every fault raises the error that names its row and column.
+    A fault raises an error naming its row, and its column for a cell.
     """
     records = _records(lines, delim, quoted)
     header = next(records, None)

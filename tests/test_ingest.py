@@ -397,6 +397,15 @@ class TestBulkReadEqualsCellLoop:
             assert (matrix.gene_ids, matrix.sample_ids) == (gene_ids, sample_ids)
             assert matrix.values.tolist() == values
 
+    @pytest.mark.parametrize("delim", [";", "::", " "])
+    def test_other_delimiters_are_read_by_cell(self, delim):
+        text = f"gene_id{delim}s1{delim}s2\ng1{delim}1{delim}2.5\n"
+        lines = ingest._read_lines(io.StringIO(text), delim)[0]
+        assert ingest._matrix_in_bulk(lines, delim) is None
+        matrix = parse_matrix(io.StringIO(text), delimiter=delim)
+        assert matrix.sample_ids == ("s1", "s2")
+        assert matrix.values.tolist() == [[1.0, 2.5]]
+
     def test_crlf_with_bom_from_a_path(self, tmp_path):
         path = tmp_path / "bom.tsv"
         path.write_bytes(b"\xef\xbb\xbfgene_id\ts1\ts2\r\ng1\t1\t2\r\ng2\t3\t-4.5\r\n")
