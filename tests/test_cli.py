@@ -213,6 +213,37 @@ class TestRunExperiment:
             run_experiment(config)
         assert err.value.stage == "cluster"
 
+    def test_nan_epsilon_is_stage_tagged(self, small_dataset, tmp_path):
+        matrix_path, labels_path, _ = small_dataset
+        out = tmp_path / "out"
+        config = make_config(matrix_path, labels_path, out,
+                             algorithms=("rough",), epsilon=float("nan"))
+        with pytest.raises(PipelineError) as err:
+            run_experiment(config)
+        assert err.value.stage == "cluster"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", 0), ("w_lower", 0.9), ("tol", -1.0), ("max_iter", 0), ("bins", -1), ("bins", 0),
+    ])
+    def test_bad_parameters_fail_at_startup(self, small_dataset, tmp_path, caplog, key, value):
+        matrix_path, labels_path, _ = small_dataset
+        out = tmp_path / "out"
+        config = make_config(matrix_path, labels_path, out, **{key: value})
+        with caplog.at_level(logging.INFO, logger="genecluster"):
+            with pytest.raises(PipelineError) as err:
+                run_experiment(config)
+        assert err.value.stage == "startup"
+        assert not any(rec.message.startswith("stage ") for rec in caplog.records)
+        assert not out.exists()
+
+    def test_zero_top_genes_is_not_all_genes(self, small_dataset, tmp_path):
+        matrix_path, labels_path, _ = small_dataset
+        config = make_config(matrix_path, labels_path, tmp_path / "out", top_genes=0)
+        with pytest.raises(PipelineError) as err:
+            run_experiment(config)
+        assert err.value.stage == "filter"
+
     def test_dataset_scale_comparison_rows(self, tmp_path):
         # leukemia-shaped run: 7129x34 in, 562 genes kept, one row per algorithm
         rng = np.random.default_rng(1)

@@ -248,6 +248,12 @@ class TestRoughKMeans:
         with pytest.raises(ParameterError):
             rough_kmeans(np.zeros((4, 1)), RoughParams(k=2, epsilon=0.5, seed=0))
 
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(ParameterError):
+            rough_kmeans(np.zeros((4, 1)), RoughParams(k=2, epsilon=np.nan, seed=0))
+        with pytest.raises(ParameterError):
+            rough_assign([[1.0]], [[0.0]], epsilon=np.nan)
+
 
 class TestFsrkAssign:
     def test_two_candidates_within_ratio(self):
@@ -422,6 +428,10 @@ class TestRoughParams:
             RoughParams(k=1, max_iter=0)
         with pytest.raises(ParameterError):
             RoughParams(k=1, tol=-1.0)
+
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ParameterError):
+            RoughParams(k=2, tol=np.nan)
 
 
 class TestNonFiniteInput:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,38 @@ class TestMembership:
             MembershipShape("triangle", 0, 1)
         with pytest.raises(ParameterError):
             MembershipShape("s", 2, 1)
+
+    def test_nan_knots_rejected(self):
+        for a, b in ((np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)):
+            with pytest.raises(ParameterError):
+                MembershipShape("s", a, b)
+
+    def test_nan_input_is_nan(self):
+        for kind in ("s", "z"):
+            assert np.isnan(membership(np.nan, MembershipShape(kind, 0.0, 2.0)))
+
+    def test_infinite_input_saturates(self):
+        assert membership(-np.inf, s_shape(0, 2)) == 0.0
+        assert membership(np.inf, s_shape(0, 2)) == 1.0
+        assert membership(-np.inf, z_shape(0, 2)) == 1.0
+        assert membership(np.inf, z_shape(0, 2)) == 0.0
+
+    def test_degenerate_knots_take_any_input_to_one(self):
+        for kind in ("s", "z"):
+            for x in (np.nan, -np.inf, np.inf):
+                assert membership(x, MembershipShape(kind, 3.0, 3.0)) == 1.0
+
+    def test_extreme_knots_raise_no_warning(self):
+        shapes = [
+            MembershipShape(kind, a, b)
+            for kind in ("s", "z")
+            for a, b in ((-1e308, 1e308), (-np.inf, 0.0), (-np.inf, np.inf))
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for shape in shapes:
+                for x in (-np.inf, -1e308, -1.0, 0.0, 0.5, 1e308, np.inf, np.nan):
+                    membership(x, shape)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -128,6 +162,16 @@ class TestFuzzify:
     def test_bad_kind(self):
         with pytest.raises(ParameterError):
             fuzzify(matrix_from([[1.0]]), "q")
+
+    def test_scalar_membership_is_the_same_spline_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(1000, 10)) * rng.uniform(0.1, 100.0, size=10)
+        for kind in ("s", "z"):
+            out = fuzzify(matrix_from(values), kind).values
+            for j in range(values.shape[1]):
+                column = values[:, j]
+                shape = MembershipShape(kind, column.min(), column.max())
+                assert [membership(x, shape) for x in column] == out[:, j].tolist(), (kind, j)
 
 
 class TestMembershipMatrixType:
