@@ -1,10 +1,13 @@
 """End-to-end pipeline runner and command-line front end.
 
-Stage order is fixed: ingest -> filter -> fuzzify (only when the fsrk engine
-is requested) -> cluster -> validate -> report. kmeans and rough cluster the
-filtered raw-valued matrix; fsrk clusters the fuzzified one. Each algorithm
-runs ``restarts`` times with seeds seed, seed+1, ... and the restart with the
-lowest DB index is reported. Outputs (report.csv, report.json,
+Stage order is fixed: startup -> ingest -> filter -> fuzzify (only when the
+fsrk engine is requested) -> cluster -> validate -> report. Startup checks
+every setting that needs no input (all but top_genes, checked against the
+gene count, and epsilon, checked against each engine's range) and builds the
+run's one ``RoughParams`` before any input is read. kmeans and rough cluster
+the filtered raw-valued matrix; fsrk clusters the fuzzified one. Each
+algorithm runs ``restarts`` times with seeds seed, seed+1, ... and the
+restart with the lowest DB index is reported. Outputs (report.csv, report.json,
 assignments-<algorithm>.csv, ranking.csv) are written atomically and contain
 no timestamps, so identical configs produce byte-identical files.
 """
@@ -16,13 +19,16 @@ import io
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from .clustering import (
     DEFAULT_FSRK_EPSILON,
     DEFAULT_ROUGH_EPSILON,
     RoughParams,
+    _to_masks,
     fsrk_kmeans,
     kmeans,
     rough_kmeans,
@@ -66,7 +72,8 @@ class ExperimentConfig:
         self.out = Path(self.out)
         self.algorithms = tuple(self.algorithms)
 
-    def validate(self):
+    def validate(self) -> RoughParams:
+        """Check the settings that need no input; return the run's engine parameters."""
         for name, path in (("matrix", self.matrix), ("labels", self.labels)):
             if not path.is_file():
                 raise PipelineError("startup", f"{name} file not found: {path}")
@@ -81,6 +88,12 @@ class ExperimentConfig:
             raise PipelineError("startup", f"fuzzify must be one of {KINDS}")
         if self.restarts < 1:
             raise PipelineError("startup", f"restarts must be >= 1, got {self.restarts}")
+        if self.bins is not None:
+            DiscretizationSpec(self.bins)
+        return RoughParams(
+            k=self.k, w_lower=self.w_lower, w_upper=self.w_upper, epsilon=self.epsilon,
+            max_iter=self.max_iter, tol=self.tol, seed=self.seed,
+        )
 
     @property
     def dataset_tag(self) -> str:
@@ -97,31 +110,29 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def _run_algorithm(algorithm, raw_values, fuzzy_values, params):
-    """One clustering run; returns (crisp assignment, centroids, result, data scored)."""
+    """One clustering run: (crisp assignment, lower index, upper mask, result, data scored).
+
+    The lower index is -1 for a boundary gene; the upper mask is (n, k).
+    """
     if algorithm == "kmeans":
         result = kmeans(raw_values, params)
-        return result.assignment, result.centroids, result, raw_values
+        a = result.assignment
+        return a, a, np.eye(params.k, dtype=bool)[a], result, raw_values
     if algorithm == "rough":
-        result = rough_kmeans(raw_values, params)
-        return crispify(result, raw_values, metric="distance"), result.centroids, result, raw_values
-    result = fsrk_kmeans(fuzzy_values, params)
-    return crispify(result, fuzzy_values, metric="similarity"), result.centroids, result, fuzzy_values
-
-
-def _assignment_rows(algorithm, gene_ids, crisp, result):
-    """CSV body rows of (gene_id, cluster, membership_kind), gene order first."""
-    rows = []
-    if algorithm == "kmeans":
-        for i, gid in enumerate(gene_ids):
-            rows.append((i, int(crisp[i]), gid, "lower"))
+        result, scored, metric = rough_kmeans(raw_values, params), raw_values, "distance"
     else:
-        for h in range(result.n_clusters):
-            for i in sorted(result.lower[h]):
-                rows.append((i, h, gene_ids[i], "lower"))
-            for i in sorted(result.boundary(h)):
-                rows.append((i, h, gene_ids[i], "boundary"))
-        rows.sort()
-    return [(gid, h, kind) for _, h, gid, kind in rows]
+        result, scored, metric = fsrk_kmeans(fuzzy_values, params), fuzzy_values, "similarity"
+    lower, upper = _to_masks(result.lower, result.upper, scored.shape[0])
+    return crispify(result, scored, metric=metric), lower, upper, result, scored
+
+
+def _assignment_rows(gene_ids, lower, upper):
+    """CSV body rows of (gene_id, cluster, membership_kind), gene order first."""
+    lower = lower.tolist()
+    return [
+        (gene_ids[i], h, "lower" if lower[i] == h else "boundary")
+        for i, h in zip(*(index.tolist() for index in np.nonzero(upper)))
+    ]
 
 
 def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
@@ -131,15 +142,16 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
     restart on ties); restarts whose clustering cannot be scored are skipped
     with a warning.
     """
-    config.validate()
+    params = _stage("startup", config.validate)
     dataset = config.dataset_tag
 
     log.info("stage ingest: %s + %s", config.matrix, config.labels)
     matrix = _stage("ingest", parse_matrix, config.matrix)
     labels = _stage("ingest", parse_labels, config.labels, matrix)
 
-    bins = config.bins or DiscretizationSpec.sturges(matrix.n_samples).bin_count
-    top_n = config.top_genes or matrix.n_genes
+    sturges = DiscretizationSpec.sturges(matrix.n_samples).bin_count
+    bins = sturges if config.bins is None else config.bins
+    top_n = matrix.n_genes if config.top_genes is None else config.top_genes
     log.info("stage filter: top %d of %d genes, %d bins", top_n, matrix.n_genes, bins)
     ranking, filtered = _stage(
         "filter", rank_and_select, matrix, labels, DiscretizationSpec(bins), top_n
@@ -161,26 +173,18 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
             epsilon = _DEFAULT_EPSILON[algorithm] if config.epsilon is None else config.epsilon
         best = None
         for restart in range(config.restarts):
-            params = RoughParams(
-                k=config.k,
-                w_lower=config.w_lower,
-                w_upper=config.w_upper,
-                epsilon=config.epsilon,
-                max_iter=config.max_iter,
-                tol=config.tol,
-                seed=config.seed + restart,
-            )
-            crisp, centroids, result, scored = _stage(
-                "cluster", _run_algorithm, algorithm, raw, fuzzy_values, params
+            crisp, lower, upper, result, scored = _stage(
+                "cluster", _run_algorithm, algorithm, raw, fuzzy_values,
+                replace(params, seed=config.seed + restart),
             )
             log.info("stage validate: %s restart %d", algorithm, restart)
             try:
-                db = db_index(scored, crisp, centroids)
-                xb = xb_index(scored, crisp, centroids)
+                db = db_index(scored, crisp, result.centroids)
+                xb = xb_index(scored, crisp, result.centroids)
             except ValidityError as exc:
                 log.warning("%s restart %d not scorable: %s", algorithm, restart, exc)
                 continue
-            sse = sum_squared_error(scored, crisp, centroids)
+            sse = sum_squared_error(scored, crisp, result.centroids)
             report = ValidityReport(
                 dataset=dataset,
                 algorithm=algorithm,
@@ -204,7 +208,7 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
                 },
             )
             if best is None or db < best[0].db_index:
-                best = (report, _assignment_rows(algorithm, filtered.gene_ids, crisp, result))
+                best = (report, _assignment_rows(filtered.gene_ids, lower, upper))
         if best is None:
             raise PipelineError(
                 "validate", f"no scorable {algorithm} clustering in {config.restarts} restart(s)"

@@ -70,7 +70,7 @@ def _check_weights(w_lower: float, w_upper: float):
 
 
 def _distance_epsilon(epsilon: float) -> float:
-    if epsilon < 1.0:
+    if not epsilon >= 1.0:
         raise ParameterError(f"distance-ratio epsilon must be >= 1, got {epsilon}")
     return epsilon
 
@@ -99,12 +99,12 @@ class RoughParams:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.k < 1:
+        if not self.k >= 1:
             raise ParameterError(f"k must be >= 1, got {self.k}")
         _check_weights(self.w_lower, self.w_upper)
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ParameterError(f"tol must be >= 0, got {self.tol}")
 
 

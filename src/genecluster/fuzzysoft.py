@@ -46,7 +46,7 @@ class MembershipShape:
         kind = str(self.kind).lower()
         if kind not in KINDS:
             raise ParameterError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.a > self.b:
+        if not self.a <= self.b:
             raise ParameterError(f"knots must satisfy a <= b, got a={self.a}, b={self.b}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "a", float(self.a))
@@ -62,23 +62,28 @@ class MembershipMatrix(LabelledMatrix):
             raise ValidationError("membership degrees must lie in [0, 1]")
 
 
-def _s_value(x: float, a: float, b: float) -> float:
-    if x <= a:
-        return 0.0
-    if x >= b:
-        return 1.0
-    span = b - a
-    if x < (a + b) / 2.0:
-        return 2.0 * ((x - a) / span) ** 2
-    return 1.0 - 2.0 * ((x - b) / span) ** 2
+def _spline(x, a, b, kind: str) -> np.ndarray:
+    """S or Z membership of every entry of x, knots a and b broadcast against x.
+
+    NaN maps to NaN and a == b maps everything to 1. Every branch is computed
+    for every entry, so overflow in a branch not taken is silenced.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = b - a
+        safe = np.where(span > 0, span, 1.0)
+        mid = (a + b) / 2.0
+        rising = 2.0 * ((x - a) / safe) ** 2
+        falling = 1.0 - 2.0 * ((x - b) / safe) ** 2
+        s = np.select(
+            [x <= a, x < mid, x < b, x >= b], [0.0, rising, falling, 1.0], default=np.nan
+        )
+    out = s if kind == "s" else 1.0 - s
+    return np.where(span > 0, out, 1.0)
 
 
 def membership(x: float, shape: MembershipShape) -> float:
     """Membership degree of x under the given spline; total on all reals."""
-    if shape.a == shape.b:
-        return 1.0
-    s = _s_value(float(x), shape.a, shape.b)
-    return s if shape.kind == "s" else 1.0 - s
+    return float(_spline(np.array([float(x)]), shape.a, shape.b, shape.kind)[0])
 
 
 def fuzzify(matrix, kind: str = "s") -> MembershipMatrix:
@@ -93,17 +98,7 @@ def fuzzify(matrix, kind: str = "s") -> MembershipMatrix:
     vals = matrix.values
     if vals.size == 0:
         return MembershipMatrix(matrix.gene_ids, matrix.sample_ids, vals.copy())
-
-    lo = vals.min(axis=0)
-    hi = vals.max(axis=0)
-    span = hi - lo
-    safe = np.where(span > 0, span, 1.0)
-    mid = (lo + hi) / 2.0
-    rising = 2.0 * ((vals - lo) / safe) ** 2
-    falling = 1.0 - 2.0 * ((vals - hi) / safe) ** 2
-    s = np.select([vals <= lo, vals < mid, vals < hi], [0.0, rising, falling], default=1.0)
-    out = s if kind == "s" else 1.0 - s
-    out = np.where(span > 0, out, 1.0)
+    out = _spline(vals, vals.min(axis=0), vals.max(axis=0), kind)
     return MembershipMatrix(matrix.gene_ids, matrix.sample_ids, out)
 
 

@@ -108,7 +108,7 @@ def db_index(data, assignment, centroids) -> float:
 def xb_index(data, assignment, centroids) -> float:
     """Xie-Beni score of a crisp clustering; lower is better."""
     X, a, Z = _check_scorable(data, assignment, centroids)
-    within = float(((X - Z[a]) ** 2).sum())
+    within = sum_squared_error(X, a, Z)
     separation = float(_centroid_gaps_squared(Z).min())
     return within / (X.shape[0] * separation)
 
