@@ -4,12 +4,16 @@ import json
 import logging
 import os
 
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
 from conftest import write_dataset
+from genecluster import cli
 from genecluster.cli import ExperimentConfig, compare, main, run_experiment
 from genecluster.clustering import DEFAULT_FSRK_EPSILON, DEFAULT_ROUGH_EPSILON
+from genecluster.genefilter import DiscretizationSpec
 from genecluster.errors import ParameterError, PipelineError
 from genecluster.validity import ValidityReport
 
@@ -163,6 +167,28 @@ class TestRunExperiment:
         rows = json.loads((out / "report.json").read_text())
         assert rows[0]["params"]["epsilon"] == 1.4
 
+    def test_report_params_are_the_engine_params(self, small_dataset, tmp_path, monkeypatch):
+        calls = {}
+        for name in ("kmeans", "rough_kmeans", "fsrk_kmeans"):
+            def recording(data, params, _engine=getattr(cli, name), _name=name):
+                calls.setdefault(_name, []).append(params)
+                return _engine(data, params)
+            monkeypatch.setattr(cli, name, recording)
+        matrix_path, labels_path, _ = small_dataset
+        out = tmp_path / "out"
+        run_experiment(make_config(matrix_path, labels_path, out, restarts=2, seed=5))
+        rows = json.loads((out / "report.json").read_text())
+        engines = {"kmeans": "kmeans", "rough": "rough_kmeans", "fsrk": "fsrk_kmeans"}
+        assert {name: len(c) for name, c in calls.items()} == {e: 2 for e in engines.values()}
+        bins = DiscretizationSpec.sturges(6).bin_count
+        for row in rows:
+            restart = row["params"]["restart"]
+            ran = calls[engines[row["algorithm"]]][restart]
+            assert row["params"] == {
+                **asdict(ran), "restart": restart, "top_genes": 8, "bins": bins,
+                "fuzzify": "s" if row["algorithm"] == "fsrk" else None,
+            }
+
     def test_default_epsilon_is_echoed_per_engine(self, small_dataset, tmp_path):
         matrix_path, labels_path, _ = small_dataset
         out = tmp_path / "out"
@@ -225,6 +251,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("key, value", [
         ("k", 0), ("w_lower", 0.9), ("tol", -1.0), ("max_iter", 0), ("bins", -1), ("bins", 0),
+        ("seed", -1),
     ])
     def test_bad_parameters_fail_at_startup(self, small_dataset, tmp_path, caplog, key, value):
         matrix_path, labels_path, _ = small_dataset
@@ -439,3 +466,35 @@ class TestMain:
     def test_missing_required_keys(self, capsys):
         assert main([]) == 1
         assert "--matrix is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("k = x", "[startup] bad value for 'k'"),
+        ("foo = 1", "[startup] bad configuration"),
+        ("config = other", "[startup] bad configuration"),
+    ])
+    def test_config_file_errors(self, small_dataset, tmp_path, capsys, line, message):
+        matrix_path, labels_path, _ = small_dataset
+        config_path = tmp_path / "run.conf"
+        config_path.write_text(f"matrix = {matrix_path}\nlabels = {labels_path}\n{line}\n")
+        assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lines", [
+        ("algorithms = kmeans", "top_genes = 8"),
+        ("algorithm = kmeans", "top-genes = 8"),
+    ])
+    def test_config_file_key_spellings(self, small_dataset, tmp_path, lines):
+        matrix_path, labels_path, _ = small_dataset
+        out = tmp_path / "out"
+        config_path = tmp_path / "run.conf"
+        config_path.write_text(
+            "\n".join([f"matrix = {matrix_path}", f"labels = {labels_path}", *lines]) + "\n"
+        )
+        assert main(["--config", str(config_path), "--out", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())
+        assert [(r["algorithm"], r["params"]["top_genes"]) for r in rows] == [("kmeans", 8)]
+
+    def test_every_flag_is_a_config_field(self):
+        dests = set(vars(cli._build_parser().parse_args([]))) - {"config", "algorithm"}
+        assert dests <= {f.name for f in fields(ExperimentConfig)}

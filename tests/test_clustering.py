@@ -433,6 +433,10 @@ class TestRoughParams:
         with pytest.raises(ParameterError):
             RoughParams(k=2, tol=np.nan)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError):
+            RoughParams(k=2, seed=-1)
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
