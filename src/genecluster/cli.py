@@ -6,10 +6,14 @@ every setting that needs no input (all but top_genes, checked against the
 gene count, and epsilon, checked against each engine's range) and builds the
 run's one ``RoughParams`` before any input is read. kmeans and rough cluster
 the filtered raw-valued matrix; fsrk clusters the fuzzified one. Each
-algorithm runs ``restarts`` times with seeds seed, seed+1, ... and the
-restart with the lowest DB index is reported. Outputs (report.csv, report.json,
+algorithm runs ``restarts`` times on that ``RoughParams`` with the engine's
+epsilon and seeds seed, seed+1, ... filled in, and the restart with the
+lowest DB index is reported; report.json echoes the fields it ran with, plus
+restart, top_genes, bins and fuzzify. report.csv and ``compare`` write each
+row through one formatter. Outputs (report.csv, report.json,
 assignments-<algorithm>.csv, ranking.csv) are written atomically and contain
-no timestamps, so identical configs produce byte-identical files.
+no timestamps, so identical configs produce byte-identical files. A config
+file holds the flags' keys; flags override it, merged by name.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import io
 import json
 import logging
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +139,21 @@ def _assignment_rows(gene_ids, lower, upper):
     ]
 
 
+_REPORT_HEADER = ("dataset", "algorithm", "db_index", "xb_index", "sse", "iterations")
+
+
+def _report_cells(r: ValidityReport) -> tuple[str, ...]:
+    """One report row as text: scores to six decimals, as report.csv and compare write it."""
+    return (
+        r.dataset,
+        r.algorithm,
+        f"{r.db_index:.6f}",
+        f"{r.xb_index:.6f}",
+        f"{r.sse:.6f}",
+        str(r.iterations),
+    )
+
+
 def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
     """Run the full pipeline once per (algorithm, restart) and write reports.
 
@@ -173,9 +192,9 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
             epsilon = _DEFAULT_EPSILON[algorithm] if config.epsilon is None else config.epsilon
         best = None
         for restart in range(config.restarts):
+            run = replace(params, epsilon=epsilon, seed=config.seed + restart)
             crisp, lower, upper, result, scored = _stage(
-                "cluster", _run_algorithm, algorithm, raw, fuzzy_values,
-                replace(params, seed=config.seed + restart),
+                "cluster", _run_algorithm, algorithm, raw, fuzzy_values, run
             )
             log.info("stage validate: %s restart %d", algorithm, restart)
             try:
@@ -194,13 +213,7 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
                 iterations=result.iterations,
                 converged=result.converged,
                 params={
-                    "k": config.k,
-                    "w_lower": config.w_lower,
-                    "w_upper": config.w_upper,
-                    "epsilon": epsilon,
-                    "max_iter": config.max_iter,
-                    "tol": config.tol,
-                    "seed": config.seed + restart,
+                    **asdict(run),
                     "restart": restart,
                     "top_genes": top_n,
                     "bins": bins,
@@ -222,15 +235,7 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
     for algorithm, rows in assignment_files.items():
         _write_csv(config.out / f"assignments-{algorithm}.csv",
                    ("gene_id", "cluster", "membership_kind"), rows)
-    _write_csv(
-        config.out / "report.csv",
-        ("dataset", "algorithm", "db_index", "xb_index", "sse", "iterations"),
-        (
-            (r.dataset, r.algorithm, f"{r.db_index:.6f}", f"{r.xb_index:.6f}",
-             f"{r.sse:.6f}", r.iterations)
-            for r in reports
-        ),
-    )
+    _write_csv(config.out / "report.csv", _REPORT_HEADER, map(_report_cells, reports))
     _atomic_write(
         config.out / "report.json",
         json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True) + "\n",
@@ -253,27 +258,11 @@ def compare(reports) -> tuple[str, str]:
         reports,
         key=lambda r: (r.dataset, r.db_index, canon.get(r.algorithm, len(ALGORITHMS))),
     )
-    best = set()
-    seen = set()
-    for r in ordered:
-        if r.dataset not in seen:
-            seen.add(r.dataset)
-            best.add(id(r))
-
-    header = ("dataset", "algorithm", "db_index", "xb_index", "sse", "iterations", "best")
+    header = (*_REPORT_HEADER, "best")
     table = [header]
-    for r in ordered:
-        flag = "*" if id(r) in best else ""
-        cells = (
-            r.dataset,
-            r.algorithm,
-            f"{r.db_index:.6f}",
-            f"{r.xb_index:.6f}",
-            f"{r.sse:.6f}",
-            str(r.iterations),
-            flag,
-        )
-        table.append(cells)
+    for i, r in enumerate(ordered):
+        first = i == 0 or r.dataset != ordered[i - 1].dataset
+        table.append((*_report_cells(r), "*" if first else ""))
     widths = [max(len(row[c]) for row in table) for c in range(len(header))]
     text_lines = [
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
@@ -296,7 +285,8 @@ def _load_config_file(path: Path) -> dict:
         if "=" not in line:
             raise PipelineError("startup", f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        values["algorithms" if key == "algorithm" else key] = value.strip()
     return values
 
 
@@ -309,7 +299,7 @@ def _coerce(key, value):
         return int(value)
     if key in _FLOAT_KEYS:
         return float(value)
-    if key == "algorithm" or key == "algorithms":
+    if key == "algorithms":
         return tuple(a for a in value.replace(",", " ").split() if a)
     return value
 
@@ -320,19 +310,11 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         for key, raw in _load_config_file(Path(args.config)).items():
             try:
-                coerced = _coerce(key, raw)
+                values[key] = _coerce(key, raw)
             except ValueError:
                 raise PipelineError("startup", f"bad value for {key!r}: {raw!r}") from None
-            if key in ("algorithm", "algorithms"):
-                values["algorithms"] = coerced
-            else:
-                values[key] = coerced
-    for key in (
-        "matrix", "labels", "out", "dataset", "top_genes", "bins", "fuzzify",
-        "k", "w_lower", "w_upper", "epsilon", "max_iter", "tol", "seed", "restarts",
-    ):
-        flag = getattr(args, key)
-        if flag is not None:
+    for key, flag in vars(args).items():
+        if flag is not None and key not in ("config", "algorithm"):
             values[key] = flag
     if args.algorithm:
         values["algorithms"] = tuple(args.algorithm)

@@ -106,6 +106,8 @@ class RoughParams:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
         if not self.tol >= 0:
             raise ParameterError(f"tol must be >= 0, got {self.tol}")
+        if self.seed is not None and not self.seed >= 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,6 +156,13 @@ def _as_pair(data, centroids) -> tuple[np.ndarray, np.ndarray]:
     if Z.shape[1] != X.shape[1]:
         raise ShapeError(f"centroid width {Z.shape[1]} != data width {X.shape[1]}")
     return X, Z
+
+
+def sum_squared_error(data, assignment, centroids) -> float:
+    """Total squared Euclidean distance of each row to its assigned centroid."""
+    X, Z = _as_pair(data, centroids)
+    a = np.asarray(assignment, dtype=np.int64)
+    return float(((X - Z[a]) ** 2).sum())
 
 
 def _check_k(k: int, n: int):
@@ -333,7 +342,7 @@ def kmeans(data, params: RoughParams, initial_centroids=None) -> CrispClustering
         centroids=centroids,
         iterations=iterations,
         converged=converged,
-        sse=float(((X - centroids[assignment]) ** 2).sum()),
+        sse=sum_squared_error(X, assignment, centroids),
         sse_history=tuple(history),
     )
 

@@ -18,11 +18,18 @@ index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .clustering import RoughClustering, _as_matrix, _as_pair, _sq_distances, _to_masks
+from .clustering import (
+    RoughClustering,
+    _as_matrix,
+    _as_pair,
+    _sq_distances,
+    _to_masks,
+    sum_squared_error,
+)
 from .errors import (
     DegenerateClusteringError,
     ParameterError,
@@ -54,16 +61,7 @@ class ValidityReport:
     params: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "algorithm": self.algorithm,
-            "db_index": self.db_index,
-            "xb_index": self.xb_index,
-            "sse": self.sse,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "params": dict(self.params),
-        }
+        return asdict(self)
 
 
 def _check_scorable(data, assignment, centroids):
@@ -111,13 +109,6 @@ def xb_index(data, assignment, centroids) -> float:
     within = sum_squared_error(X, a, Z)
     separation = float(_centroid_gaps_squared(Z).min())
     return within / (X.shape[0] * separation)
-
-
-def sum_squared_error(data, assignment, centroids) -> float:
-    """Total squared Euclidean distance of each row to its assigned centroid."""
-    X, Z = _as_pair(data, centroids)
-    a = np.asarray(assignment, dtype=np.int64)
-    return float(((X - Z[a]) ** 2).sum())
 
 
 def crispify(rough: RoughClustering, data, metric: str = "distance") -> np.ndarray:
