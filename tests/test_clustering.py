@@ -4,6 +4,7 @@ import pytest
 import oracles
 from genecluster import clustering
 from genecluster.clustering import (
+    CrispClustering,
     RoughParams,
     fsrk_assign,
     fsrk_kmeans,
@@ -15,6 +16,7 @@ from genecluster.clustering import (
 )
 from genecluster.errors import DomainError, ParameterError
 from genecluster.fuzzysoft import similarity
+from genecluster.ingest import _block_rows
 
 
 def assert_rough_axioms(lower, upper, n):
@@ -60,6 +62,10 @@ class TestInitCentroids:
     def test_k_larger_than_n(self):
         with pytest.raises(ParameterError):
             init_centroids(np.zeros((3, 2)), 4, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match=r"^seed must be >= 0, got -1$"):
+            init_centroids(np.zeros((4, 2)), 2, seed=-1)
 
 
 class TestKMeans:
@@ -410,6 +416,137 @@ class TestCycleShortcut:
         result = fsrk_kmeans(memberships, RoughParams(k=k, seed=seed, max_iter=100))
         assert result.iterations == 100 and not result.converged
         assert len(calls) <= t + 1
+
+
+def modules(rng, n, m, k):
+    """Rows drawn around k module profiles, like co-expressed genes, plus the
+    same rows mapped column-wise onto [0, 1] as memberships."""
+    profiles = rng.normal(0.0, 3.0, size=(k, m))
+    X = profiles[rng.integers(0, k, size=n)] * rng.uniform(0.5, 1.5, size=(n, 1))
+    X += rng.normal(0.0, 0.8, size=(n, m))
+    span = X.max(axis=0) - X.min(axis=0)
+    return X, (X - X.min(axis=0)) / span
+
+
+def recorded(engine, data, params, hooked, **kw):
+    """The engine's result and, with a hook, every pass's (lower, upper, centroid bytes)."""
+    passes = []
+    if hooked:
+        kw["on_iteration"] = lambda it, lo, up, Z: passes.append((lo, up, Z.tobytes()))
+    return engine(data, params, **kw), passes
+
+
+def assert_same_result(a, b):
+    assert a.centroids.tobytes() == b.centroids.tobytes()
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    if isinstance(a, CrispClustering):
+        assert np.array_equal(a.assignment, b.assignment)
+        assert np.array(a.sse_history).tobytes() == np.array(b.sse_history).tobytes()
+        assert a.sse == b.sse
+    else:
+        assert (a.lower, a.upper, a.had_empty_cluster) == (b.lower, b.upper, b.had_empty_cluster)
+
+
+class TestBoundedRule:
+    """From n * k = clustering._BOUND_CELLS on, the engine carries bounds between
+    passes and skips the genes they certify. Forced on at every size here, the
+    bounded rule must give the plain rule's results bit for bit."""
+
+    @staticmethod
+    def both(monkeypatch, engine, data, params, hooked=False, **kw):
+        runs = []
+        for cells in (0, np.inf):  # bounds at every size, then never
+            monkeypatch.setattr(clustering, "_BOUND_CELLS", cells)
+            runs.append(recorded(engine, data, params, hooked, **kw))
+        (bounded, seen_bounded), (plain, seen_plain) = runs
+        assert_same_result(bounded, plain)
+        assert seen_bounded == seen_plain
+        return plain, seen_plain
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kmeans_equals_plain(self, monkeypatch, k, seed):
+        X, _ = modules(np.random.default_rng(seed), 150, 6, 4)
+        self.both(monkeypatch, lambda d, p: kmeans(d, p), X, RoughParams(k=k, seed=seed))
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    @pytest.mark.parametrize("epsilon", [None, 1.0])
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rough_and_fsrk_equal_plain(self, monkeypatch, seed, k, epsilon, hooked):
+        X, M = modules(np.random.default_rng(seed), 150, 6, 4)
+        params = RoughParams(k=k, seed=seed, epsilon=epsilon)
+        self.both(monkeypatch, rough_kmeans, X, params, hooked)
+        self.both(monkeypatch, fsrk_kmeans, M, params, hooked)
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    @pytest.mark.parametrize("data_seed, k, seed, s, t", CYCLING_FSRK_RUNS)
+    def test_cycling_fsrk_runs_equal_plain(self, monkeypatch, data_seed, k, seed, s, t, hooked):
+        memberships = np.random.default_rng(data_seed).random((30, 6))
+        for max_iter in (t, t + 1, 100):
+            params = RoughParams(k=k, seed=seed, max_iter=max_iter)
+            self.both(monkeypatch, fsrk_kmeans, memberships, params, hooked)
+
+    def test_zero_denominator(self, monkeypatch):
+        # all-zero genes against an all-zero centroid: D = 0 and S = 1 every pass
+        rng = np.random.default_rng(7)
+        memberships = rng.random((40, 5))
+        memberships[[3, 17, 31]] = 0.0
+        start = np.vstack([np.zeros(5), memberships[[0, 1]]])
+        for epsilon in (0.9, 1.0):
+            result, _ = self.both(monkeypatch, fsrk_kmeans, memberships,
+                                  RoughParams(k=3, epsilon=epsilon),
+                                  initial_centroids=start)
+            assert {3, 17, 31} <= result.lower[0]
+            assert not result.centroids[0].any()
+
+    def test_duplicate_rows_and_tied_centroids(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X, M = modules(rng, 20, 4, 3)
+        X, M = np.repeat(X, 3, axis=0), np.repeat(M, 3, axis=0)
+        for engine, data, epsilon in ((kmeans, X, None), (rough_kmeans, X, 1.3),
+                                      (fsrk_kmeans, M, 0.9)):
+            start = data[[0, 1, 2, 30]]  # rows 0-2 are one row: exact ties
+            params = RoughParams(k=4, epsilon=epsilon)
+            self.both(monkeypatch, lambda d, p, **kw: engine(d, p, **kw), data, params,
+                      initial_centroids=start)
+
+    def test_gene_exactly_on_the_ratio_threshold(self, monkeypatch):
+        # Gene 5 sits on centroid 0 in pass 1, so its bounds start exact. Centroid 0
+        # then moves straight away from it and centroid 1 stays, so in pass 2 its
+        # bounds are tight and d_1 = 1.5 * d_0 exactly: it joins the boundary.
+        data = np.array([[-12.0], [-7.0], [-5.0], [4.0], [16.0], [20.0], [23.0]])
+        params = RoughParams(k=2, epsilon=1.5, w_lower=1.0, w_upper=0.0)
+        _, passes = self.both(monkeypatch, rough_kmeans, data, params, hooked=True,
+                              initial_centroids=[[20.0], [23.0]])
+        (lower1, _, _), (lower2, upper2, Z2) = passes[:2]
+        d = np.abs(20.0 - np.frombuffer(Z2))
+        assert 5 in lower1[0] and 5 in upper2[0] & upper2[1]
+        assert d[1] == 1.5 * d[0]
+
+    @pytest.mark.parametrize("engine, memberships", [(kmeans, False), (rough_kmeans, False),
+                                                     (fsrk_kmeans, True)])
+    def test_certified_genes_skip_their_pairs(self, monkeypatch, engine, memberships):
+        m, k = 34, 5
+        n = 3 * _block_rows(m) + 11  # three row blocks and a ragged tail
+        assert n * k >= clustering._BOUND_CELLS  # the real size gate, not forced
+        X, M = modules(np.random.default_rng(9), n, m, k)
+        pairs, passes = [], []
+
+        def counted(function, log, size):
+            def wrapper(*args):
+                log.append(size(*args))
+                return function(*args)
+            return wrapper
+
+        for name in ("_sq_distances", "_similarities"):
+            monkeypatch.setattr(clustering, name, counted(
+                getattr(clustering, name), pairs, lambda A, Z: len(A) * len(Z)))
+        monkeypatch.setattr(clustering, "_update_centroids", counted(
+            clustering._update_centroids, passes, lambda *args: 1))
+        engine(M if memberships else X, RoughParams(k=k, seed=3))
+        assert len(passes) >= 3
+        assert sum(pairs) < 0.8 * n * k * len(passes)
 
 
 class TestRoughParams:
