@@ -108,18 +108,22 @@ def _similarities(X, Z) -> np.ndarray:
     X is taken in row blocks: a block's |x - z| to one row of Z, then its
     x + z, go into one reused buffer, summed per row by ``np.add.reduce``
     as an unblocked ``.sum(axis=1)`` sums them, so every similarity keeps
-    its bits.
+    its bits. Each row of Z is copied once into a block-sized tile, so the
+    elementwise steps run over two contiguous blocks instead of broadcasting
+    the row of Z over the block.
     """
     n, m = X.shape
     S = np.empty((n, Z.shape[0]))
     rows = _block_rows(m)
-    buf = np.empty((min(rows, n), m))
-    for start in range(0, n, rows):
-        block = X[start : start + rows]
-        tmp = buf[: block.shape[0]]
-        for h, z in enumerate(Z):
-            num = np.add.reduce(np.abs(np.subtract(block, z, out=tmp), out=tmp), axis=1)
-            den = np.add.reduce(np.add(block, z, out=tmp), axis=1)
+    tmp, tile = np.empty((2, min(rows, n), m))
+    for h, z in enumerate(Z):
+        tile[...] = z
+        for start in range(0, n, rows):
+            block = X[start : start + rows]
+            r = block.shape[0]
+            num = np.add.reduce(np.abs(np.subtract(block, tile[:r], out=tmp[:r]), out=tmp[:r]),
+                                axis=1)
+            den = np.add.reduce(np.add(block, tile[:r], out=tmp[:r]), axis=1)
             S[start : start + rows, h] = np.where(
                 den != 0, 1.0 - num / np.where(den != 0, den, 1.0), 1.0
             )

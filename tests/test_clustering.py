@@ -467,7 +467,7 @@ class TestBoundedRule:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_kmeans_equals_plain(self, monkeypatch, k, seed):
         X, _ = modules(np.random.default_rng(seed), 150, 6, 4)
-        self.both(monkeypatch, lambda d, p: kmeans(d, p), X, RoughParams(k=k, seed=seed))
+        self.both(monkeypatch, kmeans, X, RoughParams(k=k, seed=seed))
 
     @pytest.mark.parametrize("hooked", [False, True])
     @pytest.mark.parametrize("epsilon", [None, 1.0])
@@ -508,8 +508,7 @@ class TestBoundedRule:
                                       (fsrk_kmeans, M, 0.9)):
             start = data[[0, 1, 2, 30]]  # rows 0-2 are one row: exact ties
             params = RoughParams(k=4, epsilon=epsilon)
-            self.both(monkeypatch, lambda d, p, **kw: engine(d, p, **kw), data, params,
-                      initial_centroids=start)
+            self.both(monkeypatch, engine, data, params, initial_centroids=start)
 
     def test_gene_exactly_on_the_ratio_threshold(self, monkeypatch):
         # Gene 5 sits on centroid 0 in pass 1, so its bounds start exact. Centroid 0
@@ -519,7 +518,7 @@ class TestBoundedRule:
         params = RoughParams(k=2, epsilon=1.5, w_lower=1.0, w_upper=0.0)
         _, passes = self.both(monkeypatch, rough_kmeans, data, params, hooked=True,
                               initial_centroids=[[20.0], [23.0]])
-        (lower1, _, _), (lower2, upper2, Z2) = passes[:2]
+        (lower1, _, _), (_, upper2, Z2) = passes[:2]
         d = np.abs(20.0 - np.frombuffer(Z2))
         assert 5 in lower1[0] and 5 in upper2[0] & upper2[1]
         assert d[1] == 1.5 * d[0]
