@@ -251,7 +251,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("key, value", [
         ("k", 0), ("w_lower", 0.9), ("tol", -1.0), ("max_iter", 0), ("bins", -1), ("bins", 0),
-        ("seed", -1),
+        ("seed", -1), ("k", 2.5), ("max_iter", 2.5), ("restarts", 0), ("fuzzify", "x"),
+        ("algorithms", ()),
     ])
     def test_bad_parameters_fail_at_startup(self, small_dataset, tmp_path, caplog, key, value):
         matrix_path, labels_path, _ = small_dataset
@@ -494,6 +495,26 @@ class TestMain:
         assert main(["--config", str(config_path), "--out", str(out)]) == 0
         rows = json.loads((out / "report.json").read_text())
         assert [(r["algorithm"], r["params"]["top_genes"]) for r in rows] == [("kmeans", 8)]
+
+    def test_config_file_float_key_comment_and_blank_lines(self, small_dataset, tmp_path):
+        matrix_path, labels_path, _ = small_dataset
+        out = tmp_path / "out"
+        config_path = tmp_path / "run.conf"
+        config_path.write_text(
+            "\n".join([
+                "# rough only, at a wider boundary",
+                f"matrix = {matrix_path}",
+                "",
+                f"labels = {labels_path}",
+                "algorithm = rough",
+                "top-genes = 8",
+                "restarts = 2",
+                "epsilon = 1.1",
+            ]) + "\n"
+        )
+        assert main(["--config", str(config_path), "--out", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())
+        assert [(r["algorithm"], r["params"]["epsilon"]) for r in rows] == [("rough", 1.1)]
 
     def test_every_flag_is_a_config_field(self):
         dests = set(vars(cli._build_parser().parse_args([]))) - {"config", "algorithm"}

@@ -14,7 +14,7 @@ from genecluster.clustering import (
     rough_centroids,
     rough_kmeans,
 )
-from genecluster.errors import DomainError, ParameterError
+from genecluster.errors import DomainError, ParameterError, ShapeError
 from genecluster.fuzzysoft import similarity
 from genecluster.ingest import _block_rows
 
@@ -66,6 +66,10 @@ class TestInitCentroids:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError, match=r"^seed must be >= 0, got -1$"):
             init_centroids(np.zeros((4, 2)), 2, seed=-1)
+
+    def test_non_integral_seed_rejected(self):
+        with pytest.raises(ParameterError, match=r"^seed must be an integer, got 1.5$"):
+            init_centroids(np.zeros((4, 2)), 2, seed=1.5)
 
 
 class TestKMeans:
@@ -199,6 +203,12 @@ class TestRoughCentroids:
     def test_bad_weights(self):
         with pytest.raises(ParameterError):
             rough_centroids(np.array([[1.0]]), [frozenset({0})], [frozenset({0})], 0.8, 0.3)
+
+    @pytest.mark.parametrize("gene", [2, -1])
+    def test_gene_index_outside_the_data_rejected(self, gene):
+        with pytest.raises(ShapeError):
+            rough_centroids(np.array([[1.0], [2.0]]), [frozenset({gene})],
+                            [frozenset({0, gene})], 0.7, 0.3)
 
 
 class TestRoughKMeans:
@@ -572,6 +582,18 @@ class TestRoughParams:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError):
             RoughParams(k=2, seed=-1)
+
+    @pytest.mark.parametrize("settings", [
+        dict(k=2.5), dict(k=2, max_iter=2.5), dict(k=2, seed=1.5), dict(k=2, seed=np.nan),
+    ])
+    def test_non_integral_counts_rejected(self, settings):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            RoughParams(**settings)
+
+    def test_numpy_integers_and_no_seed_accepted(self):
+        params = RoughParams(k=np.int64(2), max_iter=np.int32(5), seed=np.int64(3))
+        assert (params.k, params.max_iter, params.seed) == (2, 5, 3)
+        assert RoughParams(k=2).seed is None
 
 
 class TestNonFiniteInput:

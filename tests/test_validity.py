@@ -134,6 +134,12 @@ class TestSumSquaredError:
         with pytest.raises(ShapeError):
             sum_squared_error(np.zeros((3, 2)), [0, 0, 0], np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("assignment", [[0], [0, 0, 0, 0, -1], [0, 0, 0, 0, 2]])
+    def test_malformed_assignment_rejected(self, assignment):
+        data = np.arange(10.0).reshape(5, 2)
+        with pytest.raises(ShapeError):
+            sum_squared_error(data, assignment, data[:2])
+
 
 class TestCrispify:
     def test_gene_in_no_approximation_rejected(self):
@@ -210,6 +216,23 @@ class TestCrispify:
         data2 = np.array([[0.4, 0.4]])
         assert crispify(rough2, data2, metric="distance").tolist() == [0]
         assert crispify(rough2, data2, metric="similarity").tolist() == [1]
+
+    def test_data_narrower_than_centroids_rejected(self):
+        rough = RoughClustering(
+            lower=(frozenset(), frozenset()), upper=(frozenset({0}), frozenset({0})),
+            centroids=np.zeros((2, 2)), iterations=1, converged=True,
+        )
+        with pytest.raises(ShapeError):
+            crispify(rough, np.array([[0.0]]))
+
+    @pytest.mark.parametrize("gene", [2, 5, -1])
+    def test_gene_index_outside_the_data_rejected(self, gene):
+        rough = RoughClustering(
+            lower=(frozenset({0}), frozenset({gene})), upper=(frozenset({0}), frozenset({gene})),
+            centroids=np.array([[0.0], [9.0]]), iterations=1, converged=True,
+        )
+        with pytest.raises(ShapeError):
+            crispify(rough, np.array([[0.0], [9.0]]))
 
     def test_bad_metric(self):
         rough = RoughClustering(
