@@ -3,105 +3,25 @@
 Entropy/information-gain gene filtering, S/Z membership fuzzification,
 soft-set similarity, three partitional clustering engines (kmeans, rough,
 fsrk), DB and Xie-Beni validity scoring, and an experiment-comparison CLI.
+The package exports each module's ``__all__``.
 """
 
-from .clustering import (
-    DEFAULT_FSRK_EPSILON,
-    DEFAULT_ROUGH_EPSILON,
-    CrispClustering,
-    RoughClustering,
-    RoughParams,
-    fsrk_assign,
-    fsrk_kmeans,
-    init_centroids,
-    kmeans,
-    rough_assign,
-    rough_centroids,
-    rough_kmeans,
-)
-from .errors import (
-    DataError,
-    DegenerateClusteringError,
-    DegenerateLabelsError,
-    DomainError,
-    GeneClusterError,
-    InvalidDistributionError,
-    ParameterError,
-    ParseError,
-    PipelineError,
-    ShapeError,
-    ValidationError,
-    ValidityError,
-)
-from .fuzzysoft import (
-    MembershipMatrix,
-    MembershipShape,
-    fuzzify,
-    membership,
-    similarity,
-    similarity_profile,
-)
-from .genefilter import (
-    DiscretizationSpec,
-    GeneRanking,
-    bin_indices,
-    discrete_information_gain,
-    entropy,
-    information_gain,
-    rank_and_select,
-)
-from .ingest import ClassLabels, ExpressionMatrix, parse_labels, parse_matrix, write_matrix
-from .validity import ValidityReport, crispify, db_index, sum_squared_error, xb_index
+from . import clustering, errors, fuzzysoft, genefilter, ingest, validity
+from .clustering import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fuzzysoft import *  # noqa: F403
+from .genefilter import *  # noqa: F403
+from .ingest import *  # noqa: F403
+from .validity import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ExpressionMatrix",
-    "ClassLabels",
-    "parse_matrix",
-    "parse_labels",
-    "write_matrix",
-    "DiscretizationSpec",
-    "GeneRanking",
-    "entropy",
-    "bin_indices",
-    "discrete_information_gain",
-    "information_gain",
-    "rank_and_select",
-    "MembershipShape",
-    "MembershipMatrix",
-    "membership",
-    "fuzzify",
-    "similarity",
-    "similarity_profile",
-    "RoughParams",
-    "CrispClustering",
-    "RoughClustering",
-    "DEFAULT_ROUGH_EPSILON",
-    "DEFAULT_FSRK_EPSILON",
-    "init_centroids",
-    "kmeans",
-    "rough_assign",
-    "rough_centroids",
-    "rough_kmeans",
-    "fsrk_assign",
-    "fsrk_kmeans",
-    "ValidityReport",
-    "db_index",
-    "xb_index",
-    "crispify",
-    "sum_squared_error",
-    "GeneClusterError",
-    "ParseError",
-    "DataError",
-    "ValidationError",
-    "DegenerateLabelsError",
-    "ParameterError",
-    "InvalidDistributionError",
-    "ShapeError",
-    "DomainError",
-    "ValidityError",
-    "DegenerateClusteringError",
-    "PipelineError",
+    *ingest.__all__,
+    *genefilter.__all__,
+    *fuzzysoft.__all__,
+    *clustering.__all__,
+    *validity.__all__,
+    *errors.__all__,
 ]

@@ -95,9 +95,16 @@ def _check_weights(w_lower: float, w_upper: float):
         raise ParameterError(f"w_lower + w_upper must equal 1, got {w_lower + w_upper}")
 
 
+def _check_count(name, value, least):
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+
+
 def _check_seed(seed):
-    if isinstance(seed, numbers.Real) and not seed >= 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    if isinstance(seed, numbers.Real):
+        _check_count("seed", seed, 0)
 
 
 def _distance_epsilon(epsilon: float) -> float:
@@ -130,11 +137,9 @@ class RoughParams:
     seed: int | None = None
 
     def __post_init__(self):
-        if not self.k >= 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
+        _check_count("k", self.k, 1)
         _check_weights(self.w_lower, self.w_upper)
-        if not self.max_iter >= 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
+        _check_count("max_iter", self.max_iter, 1)
         if not self.tol >= 0:
             raise ParameterError(f"tol must be >= 0, got {self.tol}")
         _check_seed(self.seed)
@@ -163,13 +168,6 @@ class RoughClustering:
     converged: bool
     had_empty_cluster: bool = False
 
-    @property
-    def n_clusters(self) -> int:
-        return len(self.lower)
-
-    def boundary(self, h: int) -> frozenset[int]:
-        return self.upper[h] - self.lower[h]
-
 
 def _as_matrix(data) -> np.ndarray:
     X = np.asarray(data, dtype=float)
@@ -188,10 +186,20 @@ def _as_pair(data, centroids) -> tuple[np.ndarray, np.ndarray]:
     return X, Z
 
 
+def _as_assignment(assignment, n, k) -> np.ndarray:
+    """One cluster index in 0..k-1 per row of an n-row matrix, as int64."""
+    a = np.asarray(assignment, dtype=np.int64)
+    if a.shape != (n,):
+        raise ShapeError(f"assignment of length {a.shape} vs {n} rows")
+    if a.size and (a.min() < 0 or a.max() >= k):
+        raise ShapeError(f"assignment values must lie in 0..{k - 1}")
+    return a
+
+
 def sum_squared_error(data, assignment, centroids) -> float:
     """Total squared Euclidean distance of each row to its assigned centroid."""
     X, Z = _as_pair(data, centroids)
-    a = np.asarray(assignment, dtype=np.int64)
+    a = _as_assignment(assignment, X.shape[0], Z.shape[0])
     return float(((X - Z[a]) ** 2).sum())
 
 
@@ -208,8 +216,7 @@ def _check_unit_interval(A, what: str):
 def init_centroids(data, k: int, seed=None) -> np.ndarray:
     """k distinct data rows drawn uniformly without replacement, seeded."""
     X = _as_matrix(data)
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    _check_count("k", k, 1)
     _check_k(k, X.shape[0])
     _check_seed(seed)
     rng = np.random.default_rng(seed)
@@ -447,9 +454,12 @@ def _to_masks(lower_sets, upper_sets, n) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`_to_sets` for n genes."""
     lower = np.full(n, -1, dtype=np.int64)
     upper = np.zeros((n, len(upper_sets)), dtype=bool)
-    for h, (low, up) in enumerate(zip(lower_sets, upper_sets)):
-        lower[list(low)] = h
-        upper[list(up), h] = True
+    for h, sets in enumerate(zip(lower_sets, upper_sets)):
+        low, up = (np.fromiter(genes, dtype=np.int64) for genes in sets)
+        if any(i.size and (i.min() < 0 or i.max() >= n) for i in (low, up)):
+            raise ShapeError(f"cluster {h}: gene indices must lie in 0..{n - 1}")
+        lower[low] = h
+        upper[up, h] = True
     return lower, upper
 
 

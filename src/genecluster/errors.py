@@ -1,5 +1,20 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "GeneClusterError",
+    "ParseError",
+    "DataError",
+    "ValidationError",
+    "DegenerateLabelsError",
+    "ParameterError",
+    "InvalidDistributionError",
+    "ShapeError",
+    "DomainError",
+    "ValidityError",
+    "DegenerateClusteringError",
+    "PipelineError",
+]
+
 
 class GeneClusterError(Exception):
     """Base class for every error raised by this package."""

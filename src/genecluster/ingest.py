@@ -34,7 +34,7 @@ import math
 import os
 import tempfile
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -181,9 +181,6 @@ class LabelledMatrix:
     def n_samples(self) -> int:
         return len(self.sample_ids)
 
-    def row(self, i: int) -> np.ndarray:
-        return self.values[i]
-
 
 @dataclass(frozen=True, eq=False)
 class ExpressionMatrix(LabelledMatrix):
@@ -208,7 +205,7 @@ class ClassLabels:
 
     labels: dict[str, str]
     sample_ids: tuple[str, ...]
-    classes: tuple[str, ...] = ()
+    classes: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         labels = {str(k): str(v) for k, v in dict(self.labels).items()}

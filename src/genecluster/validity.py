@@ -24,18 +24,13 @@ import numpy as np
 
 from .clustering import (
     RoughClustering,
-    _as_matrix,
+    _as_assignment,
     _as_pair,
     _sq_distances,
     _to_masks,
     sum_squared_error,
 )
-from .errors import (
-    DegenerateClusteringError,
-    ParameterError,
-    ShapeError,
-    ValidityError,
-)
+from .errors import DegenerateClusteringError, ParameterError, ValidityError
 from .fuzzysoft import _similarities
 
 __all__ = [
@@ -66,14 +61,10 @@ class ValidityReport:
 
 def _check_scorable(data, assignment, centroids):
     X, Z = _as_pair(data, centroids)
-    a = np.asarray(assignment, dtype=np.int64)
     k = Z.shape[0]
-    if a.shape != (X.shape[0],):
-        raise ShapeError(f"assignment of length {a.shape} vs {X.shape[0]} rows")
+    a = _as_assignment(assignment, X.shape[0], k)
     if k < 2:
         raise ValidityError(f"validity indices need k >= 2 clusters, got {k}")
-    if a.size and (a.min() < 0 or a.max() >= k):
-        raise ShapeError(f"assignment values must lie in 0..{k - 1}")
     counts = np.bincount(a, minlength=k)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
@@ -122,16 +113,16 @@ def crispify(rough: RoughClustering, data, metric: str = "distance") -> np.ndarr
     """
     if metric not in ("distance", "similarity"):
         raise ParameterError(f"metric must be 'distance' or 'similarity', got {metric!r}")
-    X = _as_matrix(data)
+    X, Z = _as_pair(data, rough.centroids)
     assignment, upper = _to_masks(rough.lower, rough.upper, X.shape[0])
     boundary = np.flatnonzero(assignment < 0)
     candidates = upper[boundary]
     if not candidates.any(axis=1).all():
         raise ValidityError("a gene is in no lower and no upper approximation")
     if metric == "distance":
-        cost = _sq_distances(X[boundary], rough.centroids)
+        cost = _sq_distances(X[boundary], Z)
     else:
-        cost = -_similarities(X[boundary], rough.centroids)
+        cost = -_similarities(X[boundary], Z)
     pick = np.where(candidates, cost, np.inf).argmin(axis=1)
     # a candidate whose cost overflowed to inf ties with the masked-out clusters
     stray = ~candidates[np.arange(boundary.size), pick]
