@@ -7,12 +7,12 @@ The package exports each module's ``__all__``.
 """
 
 from . import clustering, errors, fuzzysoft, genefilter, ingest, validity
-from .clustering import *  # noqa: F403
-from .errors import *  # noqa: F403
-from .fuzzysoft import *  # noqa: F403
-from .genefilter import *  # noqa: F403
-from .ingest import *  # noqa: F403
-from .validity import *  # noqa: F403
+from .clustering import *
+from .errors import *
+from .fuzzysoft import *
+from .genefilter import *
+from .ingest import *
+from .validity import *
 
 __version__ = "0.1.0"
 

@@ -95,7 +95,7 @@ def _check_weights(w_lower: float, w_upper: float):
         raise ParameterError(f"w_lower + w_upper must equal 1, got {w_lower + w_upper}")
 
 
-def _check_count(name, value, least):
+def _check_integer(name, value, least):
     if not isinstance(value, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     if value < least:
@@ -104,7 +104,7 @@ def _check_count(name, value, least):
 
 def _check_seed(seed):
     if isinstance(seed, numbers.Real):
-        _check_count("seed", seed, 0)
+        _check_integer("seed", seed, 0)
 
 
 def _distance_epsilon(epsilon: float) -> float:
@@ -137,9 +137,9 @@ class RoughParams:
     seed: int | None = None
 
     def __post_init__(self):
-        _check_count("k", self.k, 1)
+        _check_integer("k", self.k, 1)
         _check_weights(self.w_lower, self.w_upper)
-        _check_count("max_iter", self.max_iter, 1)
+        _check_integer("max_iter", self.max_iter, 1)
         if not self.tol >= 0:
             raise ParameterError(f"tol must be >= 0, got {self.tol}")
         _check_seed(self.seed)
@@ -216,7 +216,7 @@ def _check_unit_interval(A, what: str):
 def init_centroids(data, k: int, seed=None) -> np.ndarray:
     """k distinct data rows drawn uniformly without replacement, seeded."""
     X = _as_matrix(data)
-    _check_count("k", k, 1)
+    _check_integer("k", k, 1)
     _check_k(k, X.shape[0])
     _check_seed(seed)
     rng = np.random.default_rng(seed)
