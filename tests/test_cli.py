@@ -252,7 +252,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("key, value", [
         ("k", 0), ("w_lower", 0.9), ("tol", -1.0), ("max_iter", 0), ("bins", -1), ("bins", 0),
         ("seed", -1), ("k", 2.5), ("max_iter", 2.5), ("restarts", 0), ("fuzzify", "x"),
-        ("algorithms", ()),
+        ("algorithms", ()), ("restarts", 2.5), ("bins", 2.5),
     ])
     def test_bad_parameters_fail_at_startup(self, small_dataset, tmp_path, caplog, key, value):
         matrix_path, labels_path, _ = small_dataset
@@ -271,6 +271,24 @@ class TestRunExperiment:
         with pytest.raises(PipelineError) as err:
             run_experiment(config)
         assert err.value.stage == "filter"
+
+    @pytest.mark.parametrize("key, stage", [
+        ("restarts", "startup"), ("bins", "startup"), ("top_genes", "filter"),
+    ])
+    def test_non_integral_count_names_the_rule(self, small_dataset, tmp_path, key, stage):
+        matrix_path, labels_path, _ = small_dataset
+        config = make_config(matrix_path, labels_path, tmp_path / "out", **{key: 2.5})
+        with pytest.raises(PipelineError) as err:
+            run_experiment(config)
+        assert err.value.stage == stage
+        assert str(err.value).endswith(" must be an integer, got 2.5")
+
+    def test_kind_is_exact(self, small_dataset, tmp_path):
+        matrix_path, labels_path, _ = small_dataset
+        config = make_config(matrix_path, labels_path, tmp_path / "out", fuzzify="S")
+        with pytest.raises(PipelineError) as err:
+            run_experiment(config)
+        assert err.value.stage == "startup"
 
     def test_dataset_scale_comparison_rows(self, tmp_path):
         # leukemia-shaped run: 7129x34 in, 562 genes kept, one row per algorithm

@@ -603,3 +603,18 @@ class TestNonFiniteInput:
         data = np.array([[0.1, 0.2], [0.3, bad], [0.5, 0.6]])
         with pytest.raises(DomainError):
             engine(data, RoughParams(k=2, seed=0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("engine", [kmeans, rough_kmeans, fsrk_kmeans])
+    def test_engines_reject_non_finite_initial_centroids(self, engine, bad):
+        data = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        with pytest.raises(DomainError):
+            engine(data, RoughParams(k=2), initial_centroids=[[bad, 0.2], [0.5, 0.6]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("assign, epsilon", [(rough_assign, 1.2), (fsrk_assign, 0.95)])
+    def test_assign_rejects_non_finite_data_or_centroids(self, assign, epsilon, bad):
+        with pytest.raises(DomainError):
+            assign([[bad]], [[0.0], [1.0]], epsilon)
+        with pytest.raises(DomainError):
+            assign([[0.5]], [[bad], [1.0]], epsilon)

@@ -163,6 +163,12 @@ class TestFuzzify:
         with pytest.raises(ParameterError):
             fuzzify(matrix_from([[1.0]]), "q")
 
+    def test_kind_is_exact(self):
+        with pytest.raises(ParameterError):
+            fuzzify(matrix_from([[1.0]]), "S")
+        with pytest.raises(ParameterError):
+            MembershipShape("S", 0, 1)
+
     def test_scalar_membership_is_the_same_spline_bit_for_bit(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(1000, 10)) * rng.uniform(0.1, 100.0, size=10)

@@ -66,6 +66,13 @@ class TestBinIndices:
     def test_max_lands_in_last_bin(self):
         assert bin_indices([0.0, 10.0], 3).tolist() == [0, 2]
 
+    def test_non_integral_count_rejected(self):
+        with pytest.raises(ParameterError, match=r"^bin_count must be an integer, got 2.5$"):
+            bin_indices([1.0, 2.0, 3.0], 2.5)
+        with pytest.raises(ParameterError):
+            bin_indices([1.0, 2.0, 3.0], 0)
+        assert bin_indices([1.0, 2.0, 3.0], np.int64(3)).tolist() == [0, 1, 2]
+
     def test_constant_row_single_bin(self):
         assert bin_indices([5.0, 5.0, 5.0], 4).tolist() == [0, 0, 0]
 
@@ -214,6 +221,14 @@ class TestRankAndSelect:
         with pytest.raises(ParameterError):
             rank_and_select(matrix, labels, DiscretizationSpec(2), 0)
 
+    def test_non_integral_top_n_rejected(self):
+        matrix = build_matrix(np.arange(12.0).reshape(3, 4))
+        labels = build_labels(["A", "B", "A", "B"])
+        with pytest.raises(ParameterError, match=r"^top_n must be an integer, got 2.5$"):
+            rank_and_select(matrix, labels, DiscretizationSpec(2), 2.5)
+        _, sub = rank_and_select(matrix, labels, DiscretizationSpec(2), np.int64(2))
+        assert sub.n_genes == 2
+
     def test_filtered_dimensions(self):
         rng = np.random.default_rng(6)
         matrix = build_matrix(rng.normal(size=(50, 8)))
@@ -277,6 +292,18 @@ class TestDiscretizationSpec:
     def test_bad_bin_count(self):
         with pytest.raises(ParameterError):
             DiscretizationSpec(0)
+
+    def test_non_integral_counts_rejected(self):
+        with pytest.raises(ParameterError, match=r"^bin_count must be an integer, got 2.5$"):
+            DiscretizationSpec(2.5)
+        with pytest.raises(ParameterError, match=r"^sample_count must be an integer, got 2.5$"):
+            DiscretizationSpec.sturges(2.5)
+        with pytest.raises(ParameterError):
+            DiscretizationSpec.sturges(0)
+
+    def test_numpy_integers_accepted(self):
+        assert DiscretizationSpec(np.int64(3)).bin_count == 3
+        assert DiscretizationSpec.sturges(np.int32(34)).bin_count == 7
 
 
 def test_write_ranking(tmp_path):

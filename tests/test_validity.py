@@ -5,6 +5,7 @@ import oracles
 from genecluster.clustering import RoughClustering
 from genecluster.errors import (
     DegenerateClusteringError,
+    DomainError,
     ParameterError,
     ShapeError,
     ValidityError,
@@ -233,6 +234,22 @@ class TestCrispify:
         )
         with pytest.raises(ShapeError):
             crispify(rough, np.array([[0.0], [9.0]]))
+
+    @pytest.mark.parametrize("metric", ["distance", "similarity"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_or_centroids_rejected(self, bad, metric):
+        rough = RoughClustering(
+            lower=(frozenset(), frozenset()), upper=(frozenset({0}), frozenset({0})),
+            centroids=np.array([[bad], [1.0]]), iterations=1, converged=True,
+        )
+        with pytest.raises(DomainError):
+            crispify(rough, np.array([[0.9]]), metric=metric)
+        rough = RoughClustering(
+            lower=(frozenset({0}), frozenset({1})), upper=(frozenset({0}), frozenset({1})),
+            centroids=np.array([[0.0], [1.0]]), iterations=1, converged=True,
+        )
+        with pytest.raises(DomainError):
+            crispify(rough, np.array([[0.0], [bad]]), metric=metric)
 
     def test_bad_metric(self):
         rough = RoughClustering(
