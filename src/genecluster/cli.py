@@ -2,18 +2,20 @@
 
 Stage order is fixed: startup -> ingest -> filter -> fuzzify (only when the
 fsrk engine is requested) -> cluster -> validate -> report. Startup checks
-every setting that needs no input (all but top_genes, checked against the
-gene count, and epsilon, checked against each engine's range) and builds the
-run's one ``RoughParams`` before any input is read. kmeans and rough cluster
-the filtered raw-valued matrix; fsrk clusters the fuzzified one. Each
-algorithm runs ``restarts`` times on that ``RoughParams`` with the engine's
-epsilon and seeds seed, seed+1, ... filled in, and the restart with the
-lowest DB index is reported; report.json echoes the fields it ran with, plus
-restart, top_genes, bins and fuzzify. report.csv and ``compare`` write each
-row through one formatter. Outputs (report.csv, report.json,
-assignments-<algorithm>.csv, ranking.csv) are written atomically and contain
-no timestamps, so identical configs produce byte-identical files. A config
-file holds the flags' keys; flags override it, merged by name.
+every setting that needs no input with the library's own checks (all but
+top_genes, checked in the filter stage as an integer from 1 to the gene
+count, and epsilon, checked against each engine's range in the cluster
+stage) and builds the run's one ``RoughParams`` before any input is read.
+kmeans and rough cluster the filtered raw-valued matrix; fsrk clusters the
+fuzzified one. Each algorithm runs ``restarts`` times on that
+``RoughParams`` with the engine's epsilon and seeds seed, seed+1, ... filled
+in, and the restart with the lowest DB index is reported; report.json echoes
+the fields it ran with, plus restart, top_genes, bins and fuzzify.
+report.csv and ``compare`` write each row through one formatter. Outputs
+(report.csv, report.json, assignments-<algorithm>.csv, ranking.csv) are
+written atomically and contain no timestamps, so identical configs produce
+byte-identical files. A config file holds the flags' keys; flags override
+it, merged by name.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import io
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +39,8 @@ from .clustering import (
     kmeans,
     rough_kmeans,
 )
-from .errors import GeneClusterError, ParameterError, PipelineError, ValidityError
-from .fuzzysoft import KINDS, fuzzify
+from .errors import GeneClusterError, ParameterError, PipelineError, ValidityError, _check_integer
+from .fuzzysoft import KINDS, _check_kind, fuzzify
 from .genefilter import DiscretizationSpec, rank_and_select, write_ranking
 from .ingest import _atomic_write, _write_csv, parse_labels, parse_matrix
 from .validity import ValidityReport, crispify, db_index, sum_squared_error, xb_index
@@ -88,16 +90,11 @@ class ExperimentConfig:
             raise PipelineError(
                 "startup", f"unknown algorithm(s) {unknown}; choose from {list(ALGORITHMS)}"
             )
-        if self.fuzzify not in KINDS:
-            raise PipelineError("startup", f"fuzzify must be one of {KINDS}")
-        if self.restarts < 1:
-            raise PipelineError("startup", f"restarts must be >= 1, got {self.restarts}")
+        _check_kind("fuzzify", self.fuzzify)
+        _check_integer("restarts", self.restarts, 1)
         if self.bins is not None:
             DiscretizationSpec(self.bins)
-        return RoughParams(
-            k=self.k, w_lower=self.w_lower, w_upper=self.w_upper, epsilon=self.epsilon,
-            max_iter=self.max_iter, tol=self.tol, seed=self.seed,
-        )
+        return RoughParams(**{f.name: getattr(self, f.name) for f in fields(RoughParams)})
 
     @property
     def dataset_tag(self) -> str:
@@ -168,13 +165,11 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
     matrix = _stage("ingest", parse_matrix, config.matrix)
     labels = _stage("ingest", parse_labels, config.labels, matrix)
 
-    sturges = DiscretizationSpec.sturges(matrix.n_samples).bin_count
-    bins = sturges if config.bins is None else config.bins
+    spec = (DiscretizationSpec.sturges(matrix.n_samples) if config.bins is None
+            else DiscretizationSpec(config.bins))
     top_n = matrix.n_genes if config.top_genes is None else config.top_genes
-    log.info("stage filter: top %d of %d genes, %d bins", top_n, matrix.n_genes, bins)
-    ranking, filtered = _stage(
-        "filter", rank_and_select, matrix, labels, DiscretizationSpec(bins), top_n
-    )
+    log.info("stage filter: top %d of %d genes, %d bins", top_n, matrix.n_genes, spec.bin_count)
+    ranking, filtered = _stage("filter", rank_and_select, matrix, labels, spec, top_n)
 
     fuzzy = None
     if "fsrk" in config.algorithms:
@@ -216,7 +211,7 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
                     **asdict(run),
                     "restart": restart,
                     "top_genes": top_n,
-                    "bins": bins,
+                    "bins": spec.bin_count,
                     "fuzzify": config.fuzzify if algorithm == "fsrk" else None,
                 },
             )

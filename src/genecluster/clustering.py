@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ShapeError
+from .errors import DomainError, ParameterError, ShapeError, _check_integer
 from .fuzzysoft import _similarities
 from .ingest import _block_rows
 
@@ -93,13 +93,6 @@ def _check_weights(w_lower: float, w_upper: float):
             raise ParameterError(f"{name} must be in [0, 1], got {w}")
     if abs(w_lower + w_upper - 1.0) > _WEIGHT_TOL:
         raise ParameterError(f"w_lower + w_upper must equal 1, got {w_lower + w_upper}")
-
-
-def _check_integer(name, value, least):
-    if not isinstance(value, numbers.Integral):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ParameterError(f"{name} must be >= {least}, got {value}")
 
 
 def _check_seed(seed):
@@ -186,6 +179,19 @@ def _as_pair(data, centroids) -> tuple[np.ndarray, np.ndarray]:
     return X, Z
 
 
+def _check_finite(A, what: str):
+    if A.size and not np.isfinite(A).all():
+        raise DomainError(f"{what} must be finite")
+
+
+def _as_finite_pair(data, centroids) -> tuple[np.ndarray, np.ndarray]:
+    """Data and centroids for a rule that picks clusters: NaN or inf would pick one silently."""
+    X, Z = _as_pair(data, centroids)
+    _check_finite(X, "data")
+    _check_finite(Z, "centroids")
+    return X, Z
+
+
 def _as_assignment(assignment, n, k) -> np.ndarray:
     """One cluster index in 0..k-1 per row of an n-row matrix, as int64."""
     a = np.asarray(assignment, dtype=np.int64)
@@ -228,6 +234,7 @@ def _check_initial(initial, k, width) -> np.ndarray:
     Z = _as_matrix(initial)
     if Z.shape != (k, width):
         raise ShapeError(f"initial centroids must be {k}x{width}, got {Z.shape}")
+    _check_finite(Z, "initial centroids")
     return Z.copy()
 
 
@@ -494,8 +501,7 @@ def _engine(X, params, rule, epsilon, initial_centroids, observe):
     none of them converges. Without ``observe`` the loop then stops and
     returns the state pass ``max_iter`` would end on.
     """
-    if X.size and not np.isfinite(X).all():
-        raise DomainError("clustering input must be finite")
+    _check_finite(X, "clustering input")
     _check_k(params.k, X.shape[0])
     if initial_centroids is None:
         centroids = init_centroids(X, params.k, params.seed)
@@ -575,7 +581,7 @@ def rough_assign(data, centroids, epsilon: float) -> tuple[tuple, tuple]:
     upper sets. A gene sitting exactly on a centroid is crisp there.
     """
     _distance_epsilon(epsilon)
-    _, lower, upper = _DistanceRule.plain(*_as_pair(data, centroids), epsilon)
+    _, lower, upper = _DistanceRule.plain(*_as_finite_pair(data, centroids), epsilon)
     return _to_sets(lower, upper)
 
 
@@ -617,7 +623,7 @@ def fsrk_assign(memberships, centroids, epsilon: float) -> tuple[tuple, tuple]:
     with S_h / S_best >= epsilon beyond the unique best-similarity one.
     """
     _similarity_epsilon(epsilon)
-    M, Z = _as_pair(memberships, centroids)
+    M, Z = _as_finite_pair(memberships, centroids)
     _check_unit_interval(Z, "fsrk centroids")
     _, lower, upper = _SimilarityRule.plain(M, Z, epsilon)
     return _to_sets(lower, upper)

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the count rule every module checks."""
+
+import numbers
 
 __all__ = [
     "GeneClusterError",
@@ -75,3 +77,10 @@ class PipelineError(GeneClusterError):
     def __init__(self, stage, message):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+def _check_integer(name, value, least):
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")

@@ -30,6 +30,11 @@ __all__ = [
 KINDS = ("s", "z")
 
 
+def _check_kind(name, kind):
+    if kind not in KINDS:
+        raise ParameterError(f"{name} must be one of {KINDS}, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class MembershipShape:
     """A rising (s) or falling (z) piecewise-quadratic spline between knots a < b.
@@ -43,12 +48,9 @@ class MembershipShape:
     b: float
 
     def __post_init__(self):
-        kind = str(self.kind).lower()
-        if kind not in KINDS:
-            raise ParameterError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        _check_kind("kind", self.kind)
         if not self.a <= self.b:
             raise ParameterError(f"knots must satisfy a <= b, got a={self.a}, b={self.b}")
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
 
@@ -92,9 +94,7 @@ def fuzzify(matrix, kind: str = "s") -> MembershipMatrix:
     An s-shaped run maps each column's minimum to 0 and maximum to 1; a
     z-shaped run mirrors that. Constant columns map to all-ones.
     """
-    kind = str(kind).lower()
-    if kind not in KINDS:
-        raise ParameterError(f"kind must be one of {KINDS}, got {kind!r}")
+    _check_kind("kind", kind)
     vals = matrix.values
     if vals.size == 0:
         return MembershipMatrix(matrix.gene_ids, matrix.sample_ids, vals.copy())
@@ -132,11 +132,7 @@ def _similarities(X, Z) -> np.ndarray:
 
 def similarity(x, z) -> float:
     """Soft-set similarity of two equal-length membership vectors."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if x.ndim != 1 or z.ndim != 1 or x.shape != z.shape:
-        raise ShapeError(f"equal-length vectors required, got {x.shape} and {z.shape}")
-    return float(_similarities(x[None, :], z[None, :])[0, 0])
+    return float(similarity_profile(x, np.asarray(z, dtype=float)[None])[0])
 
 
 def similarity_profile(gene, centroids) -> np.ndarray:
@@ -145,6 +141,6 @@ def similarity_profile(gene, centroids) -> np.ndarray:
     centroids = np.asarray(centroids, dtype=float)
     if gene.ndim != 1 or centroids.ndim != 2 or centroids.shape[1] != gene.shape[0]:
         raise ShapeError(
-            f"centroid rows of length {gene.shape[0]} required, got {centroids.shape}"
+            f"centroid rows of the gene's length required, got {centroids.shape} for {gene.shape}"
         )
     return _similarities(gene[None, :], centroids)[0]

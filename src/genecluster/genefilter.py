@@ -21,6 +21,7 @@ from .errors import (
     ParameterError,
     ShapeError,
     ValidationError,
+    _check_integer,
 )
 from .ingest import ClassLabels, ExpressionMatrix, _block_rows, _write_csv
 
@@ -45,13 +46,11 @@ class DiscretizationSpec:
     bin_count: int
 
     def __post_init__(self):
-        if self.bin_count < 1:
-            raise ParameterError(f"bin_count must be >= 1, got {self.bin_count}")
+        _check_integer("bin_count", self.bin_count, 1)
 
     @classmethod
     def sturges(cls, sample_count: int) -> "DiscretizationSpec":
-        if sample_count < 1:
-            raise ParameterError("sample_count must be >= 1")
+        _check_integer("sample_count", sample_count, 1)
         return cls(int(math.ceil(math.log2(sample_count))) + 1)
 
 
@@ -127,11 +126,10 @@ def bin_indices(values, bin_count: int) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ShapeError("bin_indices expects a 1-D vector")
-    if bin_count < 1:
-        raise ParameterError(f"bin_count must be >= 1, got {bin_count}")
+    spec = DiscretizationSpec(bin_count)
     if v.size == 0:
         return np.zeros(0, dtype=np.int64)
-    return _bin_codes(v[None, :], bin_count)[0]
+    return _bin_codes(v[None, :], spec.bin_count)[0]
 
 
 def _joint_counts(codes, classes, n_bins: int, n_classes: int) -> np.ndarray:
@@ -258,8 +256,9 @@ def rank_and_select(
     sample axis is untouched.
     """
     n = matrix.n_genes
-    if not 1 <= top_n <= n:
-        raise ParameterError(f"top_n must be in 1..{n}, got {top_n}")
+    _check_integer("top_n", top_n, 1)
+    if top_n > n:
+        raise ParameterError(f"top_n must be <= {n} genes, got {top_n}")
     y = _class_vector(labels)
     if y.shape != (matrix.n_samples,):
         raise ValidationError("labels do not cover the matrix's samples")

@@ -25,6 +25,7 @@ import numpy as np
 from .clustering import (
     RoughClustering,
     _as_assignment,
+    _as_finite_pair,
     _as_pair,
     _sq_distances,
     _to_masks,
@@ -113,7 +114,7 @@ def crispify(rough: RoughClustering, data, metric: str = "distance") -> np.ndarr
     """
     if metric not in ("distance", "similarity"):
         raise ParameterError(f"metric must be 'distance' or 'similarity', got {metric!r}")
-    X, Z = _as_pair(data, rough.centroids)
+    X, Z = _as_finite_pair(data, rough.centroids)
     assignment, upper = _to_masks(rough.lower, rough.upper, X.shape[0])
     boundary = np.flatnonzero(assignment < 0)
     candidates = upper[boundary]

@@ -283,13 +283,6 @@ class TestRunExperiment:
         assert err.value.stage == stage
         assert str(err.value).endswith(" must be an integer, got 2.5")
 
-    def test_kind_is_exact(self, small_dataset, tmp_path):
-        matrix_path, labels_path, _ = small_dataset
-        config = make_config(matrix_path, labels_path, tmp_path / "out", fuzzify="S")
-        with pytest.raises(PipelineError) as err:
-            run_experiment(config)
-        assert err.value.stage == "startup"
-
     def test_dataset_scale_comparison_rows(self, tmp_path):
         # leukemia-shaped run: 7129x34 in, 562 genes kept, one row per algorithm
         rng = np.random.default_rng(1)
