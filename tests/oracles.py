@@ -2,14 +2,16 @@
 
 Everything here is deliberately pure Python (math module, dicts, explicit
 loops) so it shares no code path with the package under test, except the
-two unblocked numpy scoring formulas at the end: the row-blocked kernels
-must reproduce those bit for bit.
+numpy formulas at the end: the row-blocked scoring kernels and the one-gather
+centroid update must reproduce those bit for bit.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from genecluster.errors import ParameterError
 
 
 def shannon_entropy(counts):
@@ -224,3 +226,23 @@ def similarities_per_centroid(X, Z):
         den = (X + Z[h]).sum(axis=1)
         S[:, h] = np.where(den != 0, 1.0 - num / np.where(den != 0, den, 1.0), 1.0)
     return S
+
+
+def update_centroids_per_cluster(X, lower, upper, w_lower, w_upper, previous):
+    """The weighted centroid update through boolean masks, one cluster at a time."""
+    out = np.empty((upper.shape[1], X.shape[1]), dtype=float)
+    for h in range(upper.shape[1]):
+        members = upper[:, h]
+        crisp = lower == h
+        boundary = members & ~crisp
+        if not members.any():
+            if previous is None:
+                raise ParameterError(
+                    f"cluster {h} is empty and no previous centroids were given"
+                )
+            out[h] = np.asarray(previous, dtype=float)[h]
+        elif crisp.any() and boundary.any():
+            out[h] = w_lower * X[crisp].mean(axis=0) + w_upper * X[boundary].mean(axis=0)
+        else:
+            out[h] = X[members].mean(axis=0)
+    return out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,52 @@ class TestRoughCentroids:
         with pytest.raises(ShapeError):
             rough_centroids(np.array([[1.0], [2.0]]), [frozenset({gene})],
                             [frozenset({0, gene})], 0.7, 0.3)
+
+
+    @staticmethod
+    def random_masks(rng, n, k):
+        """Axiom-consistent masks: cluster 0 empty, 1 all crisp, 2 all boundary."""
+        lower = rng.integers(-1, k, size=n)
+        lower[lower == 0] = 1
+        lower[lower == 2] = -1
+        upper = np.zeros((n, k), dtype=bool)
+        crisp = np.flatnonzero(lower >= 0)
+        upper[crisp, lower[crisp]] = True
+        for i in np.flatnonzero(lower < 0):
+            upper[i, rng.choice(np.arange(2, k), size=rng.integers(2, k - 1), replace=False)] = True
+        return lower, upper
+
+    @pytest.mark.parametrize("m", [1, 2, 34])
+    @pytest.mark.parametrize("n", [5, 300, 1000])
+    def test_update_bit_equal_to_per_cluster_masks(self, n, m):
+        rng = np.random.default_rng(n + m)
+        X = 2.0 ** rng.normal(7.0, 1.5, size=(n, m)) + rng.normal(0, 60, size=(n, m))
+        lower, upper = self.random_masks(rng, n, 5)
+        previous = rng.normal(size=(5, m))
+        assert not upper[:, 0].any() and (lower != 2).all() and upper[:, 2].any()
+        for weights in ((0.7, 0.3), (1.0, 0.0), (0.6, 0.4000000001)):
+            got = clustering._update_centroids(X, lower, upper, *weights, previous)
+            want = oracles.update_centroids_per_cluster(X, lower, upper, *weights, previous)
+            assert got.tobytes() == want.tobytes()
+
+    def test_update_of_a_lower_set_outside_its_upper_set(self):
+        data = np.array([[1.0], [2.0], [4.0], [8.0]])
+        lower, upper = clustering._to_masks(
+            [frozenset({0, 1}), frozenset({2})], [frozenset({0}), frozenset({2, 3})], 4)
+        got = rough_centroids(data, [frozenset({0, 1}), frozenset({2})],
+                              [frozenset({0}), frozenset({2, 3})], 0.7, 0.3)
+        want = oracles.update_centroids_per_cluster(data, lower, upper, 0.7, 0.3, None)
+        assert got.tobytes() == want.tobytes()
+
+    def test_update_without_previous_names_the_first_empty_cluster(self):
+        lower = np.array([1, 1, -1])
+        upper = np.array([[0, 1, 0, 0], [0, 1, 0, 0], [0, 1, 0, 1]], dtype=bool)
+        X = np.arange(3.0)[:, None]
+        with pytest.raises(ParameterError) as want:
+            oracles.update_centroids_per_cluster(X, lower, upper, 0.7, 0.3, None)
+        with pytest.raises(ParameterError, match="cluster 0 is empty") as got:
+            clustering._update_centroids(X, lower, upper, 0.7, 0.3, None)
+        assert str(got.value) == str(want.value)
 
 
 class TestRoughKMeans:
@@ -556,6 +604,118 @@ class TestBoundedRule:
         engine(M if memberships else X, RoughParams(k=k, seed=3))
         assert len(passes) >= 3
         assert sum(pairs) < 0.8 * n * k * len(passes)
+
+
+def kernel_pairs(monkeypatch):
+    """Count the gene-centroid pairs the exact kernels score, and the passes run."""
+    pairs, passes = [], []
+
+    def counted(function, log, size):
+        def wrapper(*args):
+            log.append(size(*args))
+            return function(*args)
+        return wrapper
+
+    for name in ("_sq_distances", "_similarities"):
+        monkeypatch.setattr(clustering, name, counted(
+            getattr(clustering, name), pairs, lambda A, Z: len(A) * len(Z)))
+    monkeypatch.setattr(clustering, "_update_centroids", counted(
+        clustering._update_centroids, passes, lambda *args: 1))
+    return pairs, passes
+
+
+class TestFilteredRule:
+    """Each pass above the size gate settles the genes a bounded estimate
+    decides and scores only the others with the exact kernel."""
+
+    both = staticmethod(TestBoundedRule.both)
+
+    @pytest.mark.parametrize("engine, memberships", [(rough_kmeans, False), (fsrk_kmeans, True)])
+    def test_decided_genes_skip_the_kernel(self, monkeypatch, engine, memberships):
+        m, k = 34, 5
+        n = 3 * _block_rows(m) + 11
+        assert n * k >= clustering._BOUND_CELLS
+        X, M = modules(np.random.default_rng(9), n, m, k)
+        pairs, passes = kernel_pairs(monkeypatch)
+        engine(M if memberships else X, RoughParams(k=k, seed=3))
+        assert len(passes) >= 3
+        assert sum(pairs) < 0.2 * n * k * len(passes)
+
+    @staticmethod
+    def shift_estimates(monkeypatch, shift):
+        """Move every estimate by shift(E, nearer) * 0.999 of its stated bound;
+        nearer is +1 where a larger score is nearer (similarity), else -1."""
+        for rule, nearer in ((clustering._DistanceRule, -1), (clustering._SimilarityRule, 1)):
+            def estimate(self, X, Z, original=rule.estimate, nearer=nearer):
+                E, bound = original(self, X, Z)
+                return E + 0.999 * shift(E, nearer) * bound, bound
+            monkeypatch.setattr(rule, "estimate", estimate)
+
+    @pytest.mark.parametrize("worst", [False, True])
+    @pytest.mark.parametrize("epsilon", [None, 1.0, "tight"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_estimates_anywhere_inside_their_bound(self, monkeypatch, seed, epsilon, worst):
+        rng = np.random.default_rng(seed)
+        X, M = modules(rng, 150, 6, 4)
+        for engine, data, threshold in ((kmeans, X, lambda e: 1.0),
+                                        (rough_kmeans, X, lambda e: e * e),
+                                        (fsrk_kmeans, M, lambda e: e)):
+            eps = {"tight": 1.0001 if engine is rough_kmeans else 0.9999}.get(epsilon, epsilon)
+            params = RoughParams(k=3 + seed, seed=seed, epsilon=eps)
+            t = threshold(params.epsilon or (clustering.DEFAULT_ROUGH_EPSILON
+                                             if engine is not fsrk_kmeans
+                                             else clustering.DEFAULT_FSRK_EPSILON))
+
+            def toward(E, nearer):
+                # the best score toward the others, each other one toward t * best
+                q = nearer * E  # (k, n): one row per cluster
+                genes, best = np.arange(q.shape[1]), q.argmax(axis=0)
+                signs = -np.sign(q - t * q[best, genes])
+                signs[best, genes] = -1.0
+                return nearer * signs
+
+            signs = np.random.default_rng(seed + 10)
+            self.shift_estimates(monkeypatch, toward if worst else
+                                 lambda E, nearer: signs.choice([-1.0, 1.0], size=E.shape))
+            self.both(monkeypatch, engine, data, params)
+
+    @pytest.mark.parametrize("rule", [clustering._DistanceRule, clustering._SimilarityRule])
+    def test_genes_at_and_near_the_ratio_threshold(self, rule):
+        # epsilon at, and a few ulps or parts in 1e12..1e8 off, each of ten
+        # genes' computed ratio of runner-up to best, so those genes sit on
+        # the boundary's edge
+        rng = np.random.default_rng(11)
+        X = rng.random((300, 6))
+        Z = X[:4].copy()
+        scores = rule.kernel(X, Z)
+        distance = rule is clustering._DistanceRule
+        order = np.sort(np.sqrt(scores) if distance else -scores, axis=1)
+        instance = rule(X)
+        for i in range(4, 14):
+            ratio = order[i, 1] / order[i, 0]
+            for eps in [ratio * (1 + f) for f in (-1e-8, -1e-10, -1e-12, 1e-12, 1e-10, 1e-8)] + [
+                    np.nextafter(ratio, ratio + d) for d in (-1, 1)] + [ratio]:
+                if not (eps >= 1 if distance else 0 < eps <= 1):
+                    continue
+                got, want = instance(X, Z, eps), rule.plain(X, Z, eps)
+                assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("engine", [kmeans, rough_kmeans])
+    @pytest.mark.parametrize("offset, scale", [(1e6, 1.0), (1e154, 1e150)])
+    def test_cancellation_and_overflow_fall_back_to_the_kernel(self, monkeypatch, engine,
+                                                               offset, scale):
+        # 1e6 + rows of spread about 3: the estimate loses most digits to cancellation;
+        # about 1e154: ||x||^2 overflows while every squared distance is finite
+        X, _ = modules(np.random.default_rng(4), 150, 34, 4)
+        X = offset + scale * X
+        params = RoughParams(k=4, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.both(monkeypatch, engine, X, params)
+            pairs, passes = kernel_pairs(monkeypatch)
+            monkeypatch.setattr(clustering, "_BOUND_CELLS", 0)
+            engine(X, params)
+        assert sum(pairs) > 0 and passes
 
 
 class TestRoughParams:
