@@ -29,18 +29,18 @@ returns the state that pass max_iter would end on (iterations = max_iter,
 converged false), equal bit for bit to running every pass. With a hook or an
 observer every pass still runs, so the hook sees each one.
 
-From n * k = 4096 on, a run carries bounds from pass to pass (after Elkan,
-"Using the triangle inequality to accelerate k-means", ICML 2003): per gene
-and cluster a lower bound on the gene's distance to that centroid, and per
-gene an upper bound on its distance to its own one, each moved by the
-centroids' shifts. A gene crisp in b whose bounds prove every other cluster
-fails the ratio test stays crisp in b without being scored; every other gene
-goes through the scoring kernel. The bounds are kept loose by a slack
-(1e-9 and up) far above the rounding of the kernels and of the bounds
-themselves, so a gene is certified only where the plain rule computes the
-same masks; ``_BoundedRule`` gives the argument. Masks, centroids, cycles
-and SSE histories are the plain rule's bit for bit, and the size gate is
-set from measured break-even, not by the caller. The cycle shortcut's
+From n * k = _BOUND_CELLS on, each pass first settles what it can from an
+estimate: every gene-centroid score is built approximately in a few batched
+BLAS calls (a squared distance as ||x||^2 + ||z||^2 - 2 x.z, a similarity's
+numerator as |x - z| . 1 and its denominator from row sums), with a bound on
+how far it can lie from the kernel's score. A gene whose best cluster is
+unique and whose every ratio test passes or fails by more than that bound
+plus a slack takes its masks from the estimate, crisp or in the boundary;
+every other gene goes through the scoring kernel, and kmeans scores each
+gene against its own cluster for the SSE history. Nothing is carried from
+pass to pass. Masks, centroids, cycles and SSE histories are the plain
+rule's bit for bit (``_FilteredRule`` gives the argument), and the size gate
+is set from measured break-even, not by the caller. The cycle shortcut's
 replay of one pass uses the plain rule.
 """
 
@@ -75,16 +75,20 @@ DEFAULT_FSRK_EPSILON = 0.95
 
 _WEIGHT_TOL = 1e-9
 
-# An engine run carries bounds between passes once n * k reaches this. Below
-# it the per-pass bookkeeping costs about what the skipped gene-centroid
-# pairs save, or more. All three engines together, on row subsets of a
-# 7129 x 34 matrix, ran 26% slower at n * k = 1124 (k = 2), even at 2376,
-# 36% slower to 10% faster at 3000, and 4-22% faster from 4096 up.
-_BOUND_CELLS = 4096
-# Relative slack of the bounds, far above the kernels' rounding (_BoundedRule).
+# An engine pass settles genes from a bounded estimate once n * k reaches this;
+# below it the estimate and its bookkeeping cost about what they save. All
+# three engines together, 5 restarts each on row subsets of a 7129 x 34
+# matrix, against the plain rule in 10 interleaved pairs: n * k = 120 +14%
+# (won 1 of 10), 500-1000 -0% to -10% (won 4-8), 1124 -7% to -9% (won 9-10;
+# 6-8 in sweeps before kmeans' own-cluster kernel), 1200 -17% (won 8-9),
+# 1500-2000 -15% to -19% (won 9-10), 2376 -22% and 4100 -35% (won 10).
+# kmeans alone runs 7% faster to 14% slower from 1500 to 2376, 24% faster at 4100.
+_BOUND_CELLS = 1500
+# Slack of the estimates' intervals, far above the rounding of the ratio test
+# (_FilteredRule): relative for distances, absolute for similarities.
 _SLACK = 1e-9
-# Absolute slack of the distance bounds, far above what an underflow loses.
-_TINY = 1e-150
+# Absolute slack of the squared-distance bound, far above what underflow loses.
+_TINY = 1e-300
 
 
 def _check_weights(w_lower: float, w_upper: float):
@@ -261,6 +265,24 @@ def _sq_distances(X, centroids) -> np.ndarray:
     return out
 
 
+def _own_sq_distances(X, centroids, own) -> np.ndarray:
+    """Squared distance of each row i of X to centroids[own[i]] alone, (n,),
+    with the bits ``_sq_distances`` gives that pair: the same blocks, each
+    row's own centroid gathered into the tile."""
+    n, m = X.shape
+    out = np.empty(n)
+    rows = _block_rows(m)
+    diff, tile = np.empty((2, min(rows, n), m))
+    for start in range(0, n, rows):
+        block = X[start : start + rows]
+        r = block.shape[0]
+        # mode "raise" would buffer the output; own holds valid indices anyway
+        np.take(centroids, own[start : start + rows], axis=0, out=tile[:r], mode="clip")
+        np.subtract(block, tile[:r], out=diff[:r])
+        np.einsum("nm,nm->n", diff[:r], diff[:r], out=out[start : start + rows])
+    return out
+
+
 def _ratio_masks(best, within) -> tuple[np.ndarray, np.ndarray]:
     """Lower index and upper mask from the best cluster and the clusters that
     pass the ratio test against it; a gene with one candidate is crisp there.
@@ -270,100 +292,95 @@ def _ratio_masks(best, within) -> tuple[np.ndarray, np.ndarray]:
     return lower, within
 
 
-class _BoundedRule:
-    """An assignment rule that carries per-(gene, cluster) bounds across passes.
+def _settle(lo, hi, threshold) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best cluster, the (n, k) clusters that pass the ratio test, and which genes are sure.
 
-    ``plain(X, Z, epsilon)`` scores every gene against every centroid and
-    gives (each gene's score against its best cluster, lower, upper). An
-    instance, called the same way pass after pass of one engine run, gives
-    the same lower and upper but sends to the kernel only the genes its
-    bounds cannot prove crisp. A gene crisp in b on the last pass keeps
-    ``far[h, i]``, a lower bound on its distance to each centroid h != b
-    (+inf at b), and ``near[i]``, an upper bound on its distance to b
-    (+inf for a boundary gene). When centroid h moves by delta_h, the
-    triangle inequality keeps them bounds after ``far -= delta`` and
-    ``near += delta[b]``. If they then prove that every h != b fails the
-    ratio test against b, the gene is crisp in b again, with upper row {b},
-    and is not scored: it is certified. Its best score reads NaN, unless
-    ``scores_certified`` asks for its score against b. Every other gene is
-    scored by the kernel on ``X[rows]`` and its bounds restart from those
-    scores. The kernels give each row the bits it gets in the whole matrix,
-    so every mask, and with it every centroid, equals the plain rule's.
-
-    Soundness, with u = 2**-53 and m columns. A computed score is within a
-    relative (m + 4) u of the exact one (a distance: m rounded squares
-    summed, then a square root), or within an absolute (2m + 4) u (a
-    similarity on [0, 1]: a sum of m terms over a sum of m terms). The
-    slack s = 1e-9 + (m + 4) 2**-49 is at least 8 times either. Each bound
-    is written loose by s: a restart widens the exact score by s, a shift
-    is scaled by (1 + s), and the result of each ``far -= delta`` or
-    ``near += delta`` is scaled by (1 - s) or (1 + s), which outweighs that
-    operation's own rounding, at most u of its result. So the stored floats
-    stay true bounds however many passes lie between two restarts, and the
-    test leaves a further margin s for the rounding of the scores the plain
-    rule would compute: where it certifies, the plain rule's computed ratio
-    test fails for every h != b, and b is its unique best. A square that
-    underflows moves a distance by under 1e-150 (for any m below 10**20):
-    the 1e-150 added to each distance shift and taken from each distance
-    restart covers it where the values are small, the relative slack where
-    they are large. An infinite score or shift makes its bound infinite the
-    safe way round, and a NaN bound never passes the test.
+    Each (cluster, gene) score lies in [lo, hi], (k, n) arrays with larger
+    meaning nearer, and the ratio test puts h in the boundary when score_h >=
+    threshold * score_best. A gene is decided when one cluster b beats every
+    other for sure and every other h passes or fails the test for sure. NaN
+    decides nothing, and a gene with an infinite or NaN interval is not
+    decided. Clusters run along the first axis, so every reduction over them
+    is elementwise over contiguous rows.
     """
+    genes = np.arange(lo.shape[1])
+    best = lo.argmax(axis=0)
+    lo_b, hi_b = lo[best, genes], hi[best, genes]
+    within = lo >= threshold * hi_b
+    sure = within | (hi < threshold * lo_b)
+    sure &= hi < lo_b
+    within[best, genes] = False
+    sure[best, genes] = True
+    return best, within.T, sure.all(axis=0) & np.isfinite(hi - lo).all(axis=0)
 
-    scores_certified = False
 
-    def __init__(self, X):
-        n, m = X.shape
-        self.slack = _SLACK + (m + 4) * 2.0**-49
-        self.lower = np.full(n, -1)  # each gene's lower index on the last pass
-        self.near = np.full(n, np.inf)
-        self.far = self.Z = None  # Z: the centroids the bounds hold for
+class _FilteredRule:
+    """An assignment rule that settles most genes from a bounded estimate.
+
+    ``plain(X, Z, epsilon)`` scores every gene against every centroid with the
+    kernel and gives (each gene's score against its best cluster, lower,
+    upper). An instance, made for one run's X and called once per pass, gives
+    the same lower and upper from fewer kernel scores, and keeps nothing from
+    one pass to the next. ``estimate`` builds every score approximately in a
+    few batched BLAS calls, with a bound on how far it can lie from the
+    kernel's score; ``interval`` widens the two into a (lo, hi) pair, larger
+    meaning nearer, that holds the kernel's score with a slack to spare. A
+    gene that ``_settle`` decides takes its best cluster and ratio tests from
+    those intervals, whether it is crisp or in the boundary. Every other gene
+    (ties, genes on the threshold, D = 0, overflow, heavy cancellation) is
+    scored by the kernel on ``X[rows]``; a decided gene's best score reads
+    NaN. The kernels give each row the bits it gets in the whole matrix, so
+    every mask, and with it every centroid, equals the plain rule's.
+
+    Soundness, with u = 2**-53, m columns, any summation order, with or
+    without FMA. Distances: ||x||^2 + ||z||^2 - 2 x.z as computed, and the
+    kernel's sum of rounded squared differences, each lie within about
+    (m + 3) u (||x|| + ||z||)^2 of the exact d^2, so the bound
+    (2m + 8) u (||x|| + ||z||)^2 covers their gap, and the 1e-300 added to it
+    covers what underflow loses. The interval is then widened by the relative
+    slack s = 1e-9, which outweighs the rounding of the square roots and of
+    epsilon * d_best that the plain test takes: a ratio that clears epsilon
+    by the interval clears it in the plain rule, and a best cluster whose
+    interval lies strictly above all others is the plain rule's unique best,
+    with every other computed distance strictly larger. Similarities: the
+    numerator and denominator are sums of m nonnegative terms, so the
+    estimate's and the kernel's lie within a relative (m + 1) u of the exact
+    ones, and their 1 - N / D, with N <= D, within (4m + 8) u of each other;
+    the slack is 1e-9 absolute. A score whose estimate overflows, or whose
+    D is 0, reads NaN or infinite and leaves its gene to the kernel.
+    """
 
     @classmethod
     def plain(cls, X, Z, epsilon):
         return cls.masks(cls.kernel(X, Z), epsilon)
 
     def __call__(self, X, Z, epsilon):
-        n, k = len(X), len(Z)
-        s = self.slack
-        sure = np.zeros(n, dtype=bool)
-        if self.Z is None:
-            self.far = np.empty((k, n))
-        else:
-            shift = self.shifts(Z - self.Z) * (1 + s) + _TINY
-            self.far -= shift[:, None]
-            self.far *= 1 - s
-            self.near += shift[self.lower]
-            self.near *= 1 + s
-            sure = self.certified(epsilon)
-        self.Z = Z
-        rows = np.flatnonzero(~sure) if sure.any() else slice(None)
-        scores = self.kernel(X[rows], Z)
-        best_r, lower_r, upper_r = self.masks(scores, epsilon)
-        far = self.restart(rows, scores)
-        crisp = np.flatnonzero(lower_r >= 0)
-        far[crisp, lower_r[crisp]] = np.inf
-        self.far[:, rows] = far.T
-        self.near[rows] = np.where(lower_r >= 0, self.widen(rows, best_r, lower_r), np.inf)
-
-        certified = np.flatnonzero(sure)
-        own = self.lower[certified]
-        self.lower[rows] = lower_r
-        best = np.full(n, np.nan)
-        best[rows] = best_r
-        upper = np.zeros((n, k), dtype=bool)
-        upper[rows] = upper_r
-        upper[certified, own] = True
-        if self.scores_certified:
-            for h in range(k):
-                genes = certified[own == h]
-                best[genes] = self.kernel(X[genes], Z[h : h + 1])[:, 0]
-            self.near[certified] = self.widen(certified, best[certified], own)
-        return best, self.lower.copy(), upper
+        threshold = self.threshold(epsilon)
+        if not np.isfinite(threshold):  # epsilon**2 overflows: no interval can stand in
+            return self.plain(X, Z, epsilon)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            best, within, decided = _settle(*self.interval(*self.estimate(X, Z)), threshold)
+        lower, upper = _ratio_masks(best, within)
+        scores = np.full(len(X), np.nan)
+        rows = np.flatnonzero(~decided)
+        if rows.size:
+            scores[rows], lower[rows], upper[rows] = self.plain(X[rows], Z, epsilon)
+        return scores, lower, upper
 
 
-class _DistanceRule(_BoundedRule):
-    """Squared distances; a gene is in the boundary when d_h / d_best <= epsilon."""
+class _DistanceRule(_FilteredRule):
+    """Squared distances; a gene is in the boundary when d_h / d_best <= epsilon.
+
+    The estimate is ||x||^2 + ||z||^2 - 2 x.z, one GEMM a pass, with ||x||^2
+    taken once per run. Its interval is on -d^2, so the ratio test reads
+    -d_h^2 >= epsilon^2 * -d_best^2.
+    """
+
+    def __init__(self, X):
+        with np.errstate(over="ignore"):
+            self.x_squares = np.einsum("nm,nm->n", X, X)
+        self.x_norms = np.sqrt(self.x_squares)
+        self.error = (2 * X.shape[1] + 8) * 2.0**-53
 
     @staticmethod
     def kernel(X, Z):
@@ -378,45 +395,56 @@ class _DistanceRule(_BoundedRule):
         return (d2[rows, best], *_ratio_masks(best, (d <= epsilon * d_best) & (d > d_best)))
 
     @staticmethod
-    def shifts(dZ):
-        return np.sqrt(np.einsum("km,km->k", dZ, dZ))
+    def threshold(epsilon):
+        return epsilon * epsilon
 
-    def restart(self, rows, d2):
-        d = np.sqrt(d2)
-        return np.where(d < np.inf, d * (1 - self.slack) - _TINY, -np.inf)
+    def estimate(self, X, Z):
+        z_squares = np.einsum("km,km->k", Z, Z)
+        d2 = Z @ X.T
+        d2 *= -2.0
+        d2 += z_squares[:, None]
+        d2 += self.x_squares
+        bound = np.sqrt(z_squares)[:, None] + self.x_norms
+        bound *= bound
+        bound *= self.error
+        bound += _TINY
+        return d2, bound
 
-    def widen(self, rows, best, lower):
-        return np.sqrt(best) * (1 + self.slack) + _TINY
-
-    def certified(self, epsilon):
-        return self.far.min(axis=0) > epsilon * (1 + self.slack) * self.near
+    @staticmethod
+    def interval(d2, bound):
+        lo = d2 + bound
+        lo *= -(1 + _SLACK)
+        hi = np.subtract(bound, d2, out=bound)
+        hi *= 1 - _SLACK
+        return lo, hi
 
 
 class _NearestRule(_DistanceRule):
-    """The distance rule as kmeans runs it, at epsilon 1: certified genes are
-    scored against their own cluster too, for the SSE history."""
+    """The distance rule as kmeans runs it, at epsilon 1, which also gives
+    every gene's distance to its own cluster, for the SSE history."""
 
-    scores_certified = True
+    def __call__(self, X, Z, epsilon):
+        _, lower, upper = super().__call__(X, Z, epsilon)
+        return _own_sq_distances(X, Z, lower), lower, upper
 
 
-class _SimilarityRule(_BoundedRule):
+class _SimilarityRule(_FilteredRule):
     """Soft-set similarities; a gene is in the boundary when S_h / S_best >= epsilon.
 
-    The bounds are on the numerator N = sum |x - z|, an L1 distance, so each
-    centroid's shift is its L1 norm. The denominator D = sum x + sum z is
-    recomputed each pass from the row sums, and a gene is certified when
-    every 1 - far / D falls below epsilon (1 - near / D_b) by the slack.
-    Where D is 0 (an all-zero gene against an all-zero centroid) the
-    similarity is 1; no gene that meets such a pair is certified.
+    The estimate is 1 - N / D: the numerator N = |x - z| . 1 is one GEMV per
+    row block and centroid, into block buffers reused from pass to pass, and
+    the denominator D = sum x + sum z comes from row sums, those of X taken
+    once per run. Where D is 0 (an all-zero gene against an all-zero
+    centroid) the similarity is 1 and the estimate NaN, so the kernel scores
+    every gene that meets such a pair.
     """
 
     def __init__(self, X):
-        super().__init__(X)
+        n, m = X.shape
         self.x_sums = np.add.reduce(X, axis=1)
-
-    def __call__(self, X, Z, epsilon):
-        self.z_sums = np.add.reduce(Z, axis=1)
-        return super().__call__(X, Z, epsilon)
+        self.ones = np.ones(m)
+        self.diff, self.tile = np.empty((2, min(_block_rows(m), n), m))
+        self.error = (4 * m + 8) * 2.0**-53
 
     @staticmethod
     def kernel(X, Z):
@@ -430,22 +458,26 @@ class _SimilarityRule(_BoundedRule):
         return (S[rows, best], *_ratio_masks(best, (S >= epsilon * s_best) & (S < s_best)))
 
     @staticmethod
-    def shifts(dZ):
-        return np.add.reduce(np.abs(dZ), axis=1)
+    def threshold(epsilon):
+        return epsilon
 
-    def restart(self, rows, S):
-        return (1 - S - self.slack) * (self.x_sums[rows, None] + self.z_sums)
+    def estimate(self, X, Z):
+        n, m = X.shape
+        numerators = np.empty((len(Z), n))
+        rows, diff, tile = len(self.diff), self.diff, self.tile
+        for h, z in enumerate(Z):
+            tile[...] = z
+            for start in range(0, n, rows):
+                block = X[start : start + rows]
+                r = block.shape[0]
+                np.abs(np.subtract(block, tile[:r], out=diff[:r]), out=diff[:r])
+                np.dot(diff[:r], self.ones, out=numerators[h, start : start + r])
+        S = numerators / (np.add.reduce(Z, axis=1)[:, None] + self.x_sums)
+        return np.subtract(1.0, S, out=S), self.error
 
-    def widen(self, rows, best, lower):
-        return (1 - best + self.slack) * (self.x_sums[rows] + self.z_sums[lower])
-
-    def certified(self, epsilon):
-        D = self.x_sums + self.z_sums[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            above = (1 - self.far / D).max(axis=0)
-            below = 1 - self.near / (self.x_sums + self.z_sums[self.lower])
-        nonzero = (self.x_sums > 0) | (self.z_sums > 0).all()
-        return (above < epsilon * below - self.slack) & nonzero
+    @staticmethod
+    def interval(S, bound):
+        return S - (bound + _SLACK), S + (bound + _SLACK)
 
 
 def _to_sets(lower, upper) -> tuple[tuple, tuple]:
@@ -471,21 +503,40 @@ def _to_masks(lower_sets, upper_sets, n) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _update_centroids(X, lower, upper, w_lower, w_upper, previous) -> np.ndarray:
-    out = np.empty((upper.shape[1], X.shape[1]), dtype=float)
-    for h in range(upper.shape[1]):
-        members = upper[:, h]
-        crisp = lower == h
-        boundary = members & ~crisp
-        if not members.any():
-            if previous is None:
-                raise ParameterError(
-                    f"cluster {h} is empty and no previous centroids were given"
-                )
-            out[h] = np.asarray(previous, dtype=float)[h]
-        elif crisp.any() and boundary.any():
-            out[h] = w_lower * X[crisp].mean(axis=0) + w_upper * X[boundary].mean(axis=0)
+    """Each cluster's w_lower * mean(lower) + w_upper * mean(boundary) when
+    both are non-empty, else the mean of its upper set, else (that set empty)
+    its previous centroid.
+
+    One stable sort of the lower indices gives every lower set, and one scan
+    of the upper mask every boundary (the upper set outside the lower one),
+    each in gene order, so each mean reduces an array laid out as ``X[mask]``
+    is and keeps the bits of ``.mean``.
+    """
+    n, k = upper.shape
+    key = lower.astype(np.int16) if k < 2**15 else lower  # int16 sorts by radix
+    crisp = np.bincount(lower + 1, minlength=k + 1)[1:]
+    outside = np.empty((k, n), dtype=bool)
+    np.logical_and(upper.T, lower != np.arange(k)[:, None], out=outside)
+    segments = np.split(np.argsort(key, kind="stable")[n - crisp.sum():], np.cumsum(crisp)[:-1])
+    segments += [np.flatnonzero(genes) for genes in outside]
+    counts = np.array([len(rows) for rows in segments])
+    sums = np.array([np.add.reduce(X[rows], axis=0) for rows in segments])
+    means = sums.reshape(2 * k, X.shape[1]) / np.maximum(counts, 1)[:, None]
+    boundary = counts[k:]
+    crisp_mean, boundary_mean = means[:k], means[k:]
+    out = np.where(((crisp > 0) & (boundary > 0))[:, None],
+                   w_lower * crisp_mean + w_upper * boundary_mean,
+                   np.where((boundary > 0)[:, None], boundary_mean, crisp_mean))
+    members = crisp + boundary
+    if np.count_nonzero(upper) != members.sum():  # a lower set reaching outside its upper set
+        members = np.count_nonzero(upper, axis=0)
+    for h in np.flatnonzero((members == 0) | ((boundary == 0) & (members != crisp))):
+        if members[h]:
+            out[h] = X[upper[:, h]].mean(axis=0)
+        elif previous is None:
+            raise ParameterError(f"cluster {h} is empty and no previous centroids were given")
         else:
-            out[h] = X[members].mean(axis=0)
+            out[h] = np.asarray(previous, dtype=float)[h]
     return out
 
 
@@ -493,7 +544,7 @@ def _engine(X, params, rule, epsilon, initial_centroids, observe):
     """The assign/update loop of all three engines; ``rule.plain(X, Z, epsilon)``
     gives (best scores, lower, upper), and ``observe`` sees them every pass.
 
-    From n * k = _BOUND_CELLS on, the passes go through one bounded
+    From n * k = _BOUND_CELLS on, the passes go through one filtered
     ``rule(X)`` instead, which gives the same triples from fewer scores.
     A pass maps centroids to centroids through X and the fixed parameters
     only. So once pass t ends on the centroids of an earlier pass s (pass 0
