@@ -223,7 +223,8 @@ class TestRoughCentroids:
         crisp = np.flatnonzero(lower >= 0)
         upper[crisp, lower[crisp]] = True
         for i in np.flatnonzero(lower < 0):
-            upper[i, rng.choice(np.arange(2, k), size=rng.integers(2, k - 1), replace=False)] = True
+            clusters = rng.choice(np.arange(2, k), size=rng.integers(2, k - 1), replace=False)
+            upper[i, clusters] = True
         return lower, upper
 
     @pytest.mark.parametrize("m", [1, 2, 34])
