@@ -16,7 +16,7 @@ from genecluster.clustering import (
     rough_centroids,
     rough_kmeans,
 )
-from genecluster.errors import DomainError, ParameterError, ShapeError
+from genecluster.errors import DomainError, ParameterError, ShapeError, ValidationError
 from genecluster.fuzzysoft import similarity
 from genecluster.ingest import _block_rows
 
@@ -240,14 +240,15 @@ class TestRoughCentroids:
             want = oracles.update_centroids_per_cluster(X, lower, upper, *weights, previous)
             assert got.tobytes() == want.tobytes()
 
-    def test_update_of_a_lower_set_outside_its_upper_set(self):
-        data = np.array([[1.0], [2.0], [4.0], [8.0]])
-        lower, upper = clustering._to_masks(
-            [frozenset({0, 1}), frozenset({2})], [frozenset({0}), frozenset({2, 3})], 4)
-        got = rough_centroids(data, [frozenset({0, 1}), frozenset({2})],
-                              [frozenset({0}), frozenset({2, 3})], 0.7, 0.3)
-        want = oracles.update_centroids_per_cluster(data, lower, upper, 0.7, 0.3, None)
-        assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("lower, upper", [
+        # gene 1 in cluster 0's lower set but not its upper one
+        ([frozenset({0, 1}), frozenset({2})], [frozenset({0, 3}), frozenset({2, 3})]),
+        # gene 2 in two lower sets
+        ([frozenset({0, 2}), frozenset({1, 2})], [frozenset({0, 2, 3}), frozenset({1, 2, 3})]),
+    ], ids=["lower-outside-upper", "two-lowers"])
+    def test_sets_that_break_the_rough_set_axioms_rejected(self, lower, upper):
+        with pytest.raises(ValidationError, match="lower approximation"):
+            rough_centroids([[1.0], [2.0], [4.0], [8.0]], lower, upper, 0.7, 0.3)
 
     def test_update_without_previous_names_the_first_empty_cluster(self):
         lower = np.array([1, 1, -1])
@@ -507,19 +508,20 @@ def assert_same_result(a, b):
 
 
 class TestBoundedRule:
-    """From n * k = clustering._BOUND_CELLS on, the engine carries bounds between
-    passes and skips the genes they certify. Forced on at every size here, the
-    bounded rule must give the plain rule's results bit for bit."""
+    """Every engine pass settles the genes a bounded estimate decides and scores
+    the rest with the kernel. Its results must be bit for bit those of a run
+    whose every pass scores every gene with ``rule.plain``."""
 
     @staticmethod
     def both(monkeypatch, engine, data, params, hooked=False, **kw):
-        runs = []
-        for cells in (0, np.inf):  # bounds at every size, then never
-            monkeypatch.setattr(clustering, "_BOUND_CELLS", cells)
-            runs.append(recorded(engine, data, params, hooked, **kw))
-        (bounded, seen_bounded), (plain, seen_plain) = runs
-        assert_same_result(bounded, plain)
-        assert seen_bounded == seen_plain
+        filtered, seen_filtered = recorded(engine, data, params, hooked, **kw)
+        with monkeypatch.context() as patch:  # the engines' rules, each made plain
+            for name in ("_NearestRule", "_DistanceRule", "_SimilarityRule"):
+                rule = getattr(clustering, name)
+                patch.setattr(clustering, name, lambda X, rule=rule: rule.plain)
+            plain, seen_plain = recorded(engine, data, params, hooked, **kw)
+        assert_same_result(filtered, plain)
+        assert seen_filtered == seen_plain
         return plain, seen_plain
 
     @pytest.mark.parametrize("k", [2, 3, 5, 10])
@@ -570,9 +572,9 @@ class TestBoundedRule:
             self.both(monkeypatch, engine, data, params, initial_centroids=start)
 
     def test_gene_exactly_on_the_ratio_threshold(self, monkeypatch):
-        # Gene 5 sits on centroid 0 in pass 1, so its bounds start exact. Centroid 0
-        # then moves straight away from it and centroid 1 stays, so in pass 2 its
-        # bounds are tight and d_1 = 1.5 * d_0 exactly: it joins the boundary.
+        # Gene 5 sits on centroid 0 in pass 1. Centroid 0 then moves straight away
+        # from it and centroid 1 stays, so in pass 2 d_1 = 1.5 * d_0 exactly: it
+        # sits on the ratio threshold and joins the boundary.
         data = np.array([[-12.0], [-7.0], [-5.0], [4.0], [16.0], [20.0], [23.0]])
         params = RoughParams(k=2, epsilon=1.5, w_lower=1.0, w_upper=0.0)
         _, passes = self.both(monkeypatch, rough_kmeans, data, params, hooked=True,
@@ -587,21 +589,8 @@ class TestBoundedRule:
     def test_certified_genes_skip_their_pairs(self, monkeypatch, engine, memberships):
         m, k = 34, 5
         n = 3 * _block_rows(m) + 11  # three row blocks and a ragged tail
-        assert n * k >= clustering._BOUND_CELLS  # the real size gate, not forced
         X, M = modules(np.random.default_rng(9), n, m, k)
-        pairs, passes = [], []
-
-        def counted(function, log, size):
-            def wrapper(*args):
-                log.append(size(*args))
-                return function(*args)
-            return wrapper
-
-        for name in ("_sq_distances", "_similarities"):
-            monkeypatch.setattr(clustering, name, counted(
-                getattr(clustering, name), pairs, lambda A, Z: len(A) * len(Z)))
-        monkeypatch.setattr(clustering, "_update_centroids", counted(
-            clustering._update_centroids, passes, lambda *args: 1))
+        pairs, passes = kernel_pairs(monkeypatch)
         engine(M if memberships else X, RoughParams(k=k, seed=3))
         assert len(passes) >= 3
         assert sum(pairs) < 0.8 * n * k * len(passes)
@@ -626,17 +615,17 @@ def kernel_pairs(monkeypatch):
 
 
 class TestFilteredRule:
-    """Each pass above the size gate settles the genes a bounded estimate
-    decides and scores only the others with the exact kernel."""
+    """Each pass at every size settles the genes a bounded estimate decides
+    and scores only the others with the exact kernel."""
 
     both = staticmethod(TestBoundedRule.both)
 
+    @pytest.mark.parametrize("n, m, profiles, k", [(3 * _block_rows(34) + 11, 34, 5, 5),
+                                                   (150, 6, 4, 2)], ids=["blocks3-k5", "n150-k2"])
     @pytest.mark.parametrize("engine, memberships", [(rough_kmeans, False), (fsrk_kmeans, True)])
-    def test_decided_genes_skip_the_kernel(self, monkeypatch, engine, memberships):
-        m, k = 34, 5
-        n = 3 * _block_rows(m) + 11
-        assert n * k >= clustering._BOUND_CELLS
-        X, M = modules(np.random.default_rng(9), n, m, k)
+    def test_decided_genes_skip_the_kernel(self, monkeypatch, engine, memberships,
+                                           n, m, profiles, k):
+        X, M = modules(np.random.default_rng(9), n, m, profiles)
         pairs, passes = kernel_pairs(monkeypatch)
         engine(M if memberships else X, RoughParams(k=k, seed=3))
         assert len(passes) >= 3
@@ -714,7 +703,6 @@ class TestFilteredRule:
             warnings.simplefilter("error")
             self.both(monkeypatch, engine, X, params)
             pairs, passes = kernel_pairs(monkeypatch)
-            monkeypatch.setattr(clustering, "_BOUND_CELLS", 0)
             engine(X, params)
         assert sum(pairs) > 0 and passes
 

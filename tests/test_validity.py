@@ -8,6 +8,7 @@ from genecluster.errors import (
     DomainError,
     ParameterError,
     ShapeError,
+    ValidationError,
     ValidityError,
 )
 from genecluster.validity import (
@@ -234,6 +235,18 @@ class TestCrispify:
         )
         with pytest.raises(ShapeError):
             crispify(rough, np.array([[0.0], [9.0]]))
+
+    @pytest.mark.parametrize("lower, upper", [
+        # gene 1 in cluster 0's lower set but not its upper one
+        ((frozenset({0, 1}), frozenset({2})), (frozenset({0, 3}), frozenset({2, 3}))),
+        # gene 2 in two lower sets
+        ((frozenset({0, 2}), frozenset({1, 2})), (frozenset({0, 2, 3}), frozenset({1, 2, 3}))),
+    ], ids=["lower-outside-upper", "two-lowers"])
+    def test_sets_that_break_the_rough_set_axioms_rejected(self, lower, upper):
+        rough = RoughClustering(lower=lower, upper=upper, centroids=np.array([[1.0], [8.0]]),
+                                iterations=1, converged=True)
+        with pytest.raises(ValidationError, match="lower approximation"):
+            crispify(rough, np.array([[1.0], [2.0], [4.0], [8.0]]))
 
     @pytest.mark.parametrize("metric", ["distance", "similarity"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
