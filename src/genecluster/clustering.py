@@ -29,19 +29,17 @@ returns the state that pass max_iter would end on (iterations = max_iter,
 converged false), equal bit for bit to running every pass. With a hook or an
 observer every pass still runs, so the hook sees each one.
 
-From n * k = _BOUND_CELLS on, each pass first settles what it can from an
-estimate: every gene-centroid score is built approximately in a few batched
-BLAS calls (a squared distance as ||x||^2 + ||z||^2 - 2 x.z, a similarity's
-numerator as |x - z| . 1 and its denominator from row sums), with a bound on
-how far it can lie from the kernel's score. A gene whose best cluster is
-unique and whose every ratio test passes or fails by more than that bound
-plus a slack takes its masks from the estimate, crisp or in the boundary;
-every other gene goes through the scoring kernel, and kmeans scores each
-gene against its own cluster for the SSE history. Nothing is carried from
-pass to pass. Masks, centroids, cycles and SSE histories are the plain
-rule's bit for bit (``_FilteredRule`` gives the argument), and the size gate
-is set from measured break-even, not by the caller. The cycle shortcut's
-replay of one pass uses the plain rule.
+Each pass first settles what it can from an estimate: every gene-centroid
+score is built approximately in a few batched BLAS calls (a squared distance
+as ||x||^2 + ||z||^2 - 2 x.z, a similarity's numerator as |x - z| . 1 and its
+denominator from row sums), with a bound on how far it can lie from the
+kernel's score. A gene whose best cluster is unique and whose every ratio
+test passes or fails by more than that bound plus a slack takes its masks
+from the estimate, crisp or in the boundary; every other gene goes through
+the scoring kernel, and kmeans scores each gene against its own cluster for
+the SSE history. Nothing is carried from pass to pass. Masks, centroids,
+cycles and SSE histories are the plain rule's bit for bit (``_FilteredRule``
+gives the argument).
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ShapeError, _check_integer
+from .errors import DomainError, ParameterError, ShapeError, ValidationError, _check_integer
 from .fuzzysoft import _similarities
 from .ingest import _block_rows
 
@@ -75,15 +73,6 @@ DEFAULT_FSRK_EPSILON = 0.95
 
 _WEIGHT_TOL = 1e-9
 
-# An engine pass settles genes from a bounded estimate once n * k reaches this;
-# below it the estimate and its bookkeeping cost about what they save. All
-# three engines together, 5 restarts each on row subsets of a 7129 x 34
-# matrix, against the plain rule in 10 interleaved pairs: n * k = 120 +14%
-# (won 1 of 10), 500-1000 -0% to -10% (won 4-8), 1124 -7% to -9% (won 9-10;
-# 6-8 in sweeps before kmeans' own-cluster kernel), 1200 -17% (won 8-9),
-# 1500-2000 -15% to -19% (won 9-10), 2376 -22% and 4100 -35% (won 10).
-# kmeans alone runs 7% faster to 14% slower from 1500 to 2376, 24% faster at 4100.
-_BOUND_CELLS = 1500
 # Slack of the estimates' intervals, far above the rounding of the ratio test
 # (_FilteredRule): relative for distances, absolute for similarities.
 _SLACK = 1e-9
@@ -490,22 +479,31 @@ def _to_sets(lower, upper) -> tuple[tuple, tuple]:
 
 
 def _to_masks(lower_sets, upper_sets, n) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`_to_sets` for n genes."""
+    """Inverse of :func:`_to_sets` for n genes. A gene in two lower
+    approximations, or in a lower approximation and not its upper one, raises
+    ValidationError."""
     lower = np.full(n, -1, dtype=np.int64)
     upper = np.zeros((n, len(upper_sets)), dtype=bool)
     for h, sets in enumerate(zip(lower_sets, upper_sets)):
         low, up = (np.fromiter(genes, dtype=np.int64) for genes in sets)
         if any(i.size and (i.min() < 0 or i.max() >= n) for i in (low, up)):
             raise ShapeError(f"cluster {h}: gene indices must lie in 0..{n - 1}")
-        lower[low] = h
         upper[up, h] = True
+        bad = low[(lower[low] >= 0) | ~upper[low, h]]
+        if bad.size:
+            i = bad[0]
+            raise ValidationError(
+                f"gene {i} is in the lower approximations of clusters {lower[i]} and {h}"
+                if lower[i] >= 0 else
+                f"gene {i} is in the lower approximation of cluster {h} but not its upper one")
+        lower[low] = h
     return lower, upper
 
 
 def _update_centroids(X, lower, upper, w_lower, w_upper, previous) -> np.ndarray:
     """Each cluster's w_lower * mean(lower) + w_upper * mean(boundary) when
     both are non-empty, else the mean of its upper set, else (that set empty)
-    its previous centroid.
+    its previous centroid; each lower set lies in its upper set.
 
     One stable sort of the lower indices gives every lower set, and one scan
     of the upper mask every boundary (the upper set outside the lower one),
@@ -527,25 +525,18 @@ def _update_centroids(X, lower, upper, w_lower, w_upper, previous) -> np.ndarray
     out = np.where(((crisp > 0) & (boundary > 0))[:, None],
                    w_lower * crisp_mean + w_upper * boundary_mean,
                    np.where((boundary > 0)[:, None], boundary_mean, crisp_mean))
-    members = crisp + boundary
-    if np.count_nonzero(upper) != members.sum():  # a lower set reaching outside its upper set
-        members = np.count_nonzero(upper, axis=0)
-    for h in np.flatnonzero((members == 0) | ((boundary == 0) & (members != crisp))):
-        if members[h]:
-            out[h] = X[upper[:, h]].mean(axis=0)
-        elif previous is None:
+    for h in np.flatnonzero(crisp + boundary == 0):
+        if previous is None:
             raise ParameterError(f"cluster {h} is empty and no previous centroids were given")
-        else:
-            out[h] = np.asarray(previous, dtype=float)[h]
+        out[h] = np.asarray(previous, dtype=float)[h]
     return out
 
 
 def _engine(X, params, rule, epsilon, initial_centroids, observe):
-    """The assign/update loop of all three engines; ``rule.plain(X, Z, epsilon)``
-    gives (best scores, lower, upper), and ``observe`` sees them every pass.
+    """The assign/update loop of all three engines; ``rule(X)``, made once per
+    run, gives (best scores, lower, upper) for ``(X, Z, epsilon)`` each pass,
+    and ``observe`` sees them every pass.
 
-    From n * k = _BOUND_CELLS on, the passes go through one filtered
-    ``rule(X)`` instead, which gives the same triples from fewer scores.
     A pass maps centroids to centroids through X and the fixed parameters
     only. So once pass t ends on the centroids of an earlier pass s (pass 0
     being the initial centroids), passes s+1..t repeat with period t - s and
@@ -559,7 +550,7 @@ def _engine(X, params, rule, epsilon, initial_centroids, observe):
     else:
         centroids = _check_initial(initial_centroids, params.k, X.shape[1])
 
-    assign = rule(X) if X.shape[0] * params.k >= _BOUND_CELLS else rule.plain
+    assign = rule(X)
     converged = False
     had_empty = False
     history = [centroids]  # history[p]: the centroids pass p ended on
@@ -580,7 +571,7 @@ def _engine(X, params, rule, epsilon, initial_centroids, observe):
             if s < iterations:
                 last = s + 1 + (params.max_iter - s - 1) % (iterations - s)
                 if last < iterations:
-                    _, lower, upper = rule.plain(X, history[last - 1], epsilon)
+                    _, lower, upper = assign(X, history[last - 1], epsilon)
                     centroids = history[last]
                 return lower, upper, centroids, params.max_iter, False, had_empty
             history.append(centroids)
@@ -644,7 +635,8 @@ def rough_centroids(data, lower, upper, w_lower: float, w_upper: float,
     w_lower * mean(lower) + w_upper * mean(boundary); with either side empty
     it is the plain mean of the upper approximation. A cluster whose upper
     approximation is empty keeps its previous centroid, which the caller must
-    supply in that case.
+    supply in that case. A gene in two lower approximations, or a lower
+    approximation outside its upper one, raises ValidationError.
     """
     _check_weights(w_lower, w_upper)
     X = _as_matrix(data)
