@@ -241,7 +241,9 @@ class TestCrispify:
         ((frozenset({0, 1}), frozenset({2})), (frozenset({0, 3}), frozenset({2, 3}))),
         # gene 2 in two lower sets
         ((frozenset({0, 2}), frozenset({1, 2})), (frozenset({0, 2, 3}), frozenset({1, 2, 3}))),
-    ], ids=["lower-outside-upper", "two-lowers"])
+        # gene 0, crisp in cluster 0, also in cluster 1's upper set
+        ((frozenset({0, 1}), frozenset({2})), (frozenset({0, 1}), frozenset({0, 2, 3}))),
+    ], ids=["lower-outside-upper", "two-lowers", "crisp-in-another-upper"])
     def test_sets_that_break_the_rough_set_axioms_rejected(self, lower, upper):
         rough = RoughClustering(lower=lower, upper=upper, centroids=np.array([[1.0], [8.0]]),
                                 iterations=1, converged=True)
