@@ -21,7 +21,11 @@ approximation is in at least two upper approximations; the upper sets cover
 all genes. Exact distance/similarity ties go to the lowest cluster index
 before the ratio test, so a tied competitor never widens the boundary; with
 epsilon at its crisp setting every gene therefore lands in exactly one lower
-approximation. Results, hooks and public helpers see frozensets.
+approximation. Results, hooks and public helpers see frozensets. Sets that a
+caller builds (``rough_centroids``, ``validity.crispify``) must obey the
+first three axioms, or ValidationError is raised. The last two are not
+checked there, so a single cluster's sets, or a boundary gene in one upper
+set, are accepted; ``crispify`` alone refuses a gene in no set.
 
 A run whose centroids return bit for bit to those of an earlier pass is
 periodic from there on and can no longer converge. The engine then stops and
@@ -36,10 +40,9 @@ denominator from row sums), with a bound on how far it can lie from the
 kernel's score. A gene whose best cluster is unique and whose every ratio
 test passes or fails by more than that bound plus a slack takes its masks
 from the estimate, crisp or in the boundary; every other gene goes through
-the scoring kernel, and kmeans scores each gene against its own cluster for
-the SSE history. Nothing is carried from pass to pass. Masks, centroids,
-cycles and SSE histories are the plain rule's bit for bit (``_FilteredRule``
-gives the argument).
+the scoring kernel. Nothing is carried from pass to pass. Masks, centroids
+and cycles are the plain rule's bit for bit (``_FilteredRule`` gives the
+argument).
 """
 
 from __future__ import annotations
@@ -133,14 +136,13 @@ class RoughParams:
 
 @dataclass(frozen=True, eq=False)
 class CrispClustering:
-    """A crisp partition: per-gene cluster, centroids, and the SSE trace."""
+    """A crisp partition: per-gene cluster, centroids, and its SSE."""
 
     assignment: np.ndarray
     centroids: np.ndarray
     iterations: int
     converged: bool
     sse: float
-    sse_history: tuple[float, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,24 +256,6 @@ def _sq_distances(X, centroids) -> np.ndarray:
     return out
 
 
-def _own_sq_distances(X, centroids, own) -> np.ndarray:
-    """Squared distance of each row i of X to centroids[own[i]] alone, (n,),
-    with the bits ``_sq_distances`` gives that pair: the same blocks, each
-    row's own centroid gathered into the tile."""
-    n, m = X.shape
-    out = np.empty(n)
-    rows = _block_rows(m)
-    diff, tile = np.empty((2, min(rows, n), m))
-    for start in range(0, n, rows):
-        block = X[start : start + rows]
-        r = block.shape[0]
-        # mode "raise" would buffer the output; own holds valid indices anyway
-        np.take(centroids, own[start : start + rows], axis=0, out=tile[:r], mode="clip")
-        np.subtract(block, tile[:r], out=diff[:r])
-        np.einsum("nm,nm->n", diff[:r], diff[:r], out=out[start : start + rows])
-    return out
-
-
 def _ratio_masks(best, within) -> tuple[np.ndarray, np.ndarray]:
     """Lower index and upper mask from the best cluster and the clusters that
     pass the ratio test against it; a gene with one candidate is crisp there.
@@ -307,19 +291,18 @@ class _FilteredRule:
     """An assignment rule that settles most genes from a bounded estimate.
 
     ``plain(X, Z, epsilon)`` scores every gene against every centroid with the
-    kernel and gives (each gene's score against its best cluster, lower,
-    upper). An instance, made for one run's X and called once per pass, gives
-    the same lower and upper from fewer kernel scores, and keeps nothing from
-    one pass to the next. ``estimate`` builds every score approximately in a
-    few batched BLAS calls, with a bound on how far it can lie from the
-    kernel's score; ``interval`` widens the two into a (lo, hi) pair, larger
-    meaning nearer, that holds the kernel's score with a slack to spare. A
-    gene that ``_settle`` decides takes its best cluster and ratio tests from
-    those intervals, whether it is crisp or in the boundary. Every other gene
-    (ties, genes on the threshold, D = 0, overflow, heavy cancellation) is
-    scored by the kernel on ``X[rows]``; a decided gene's best score reads
-    NaN. The kernels give each row the bits it gets in the whole matrix, so
-    every mask, and with it every centroid, equals the plain rule's.
+    kernel and gives (lower, upper). An instance, made for one run's X and
+    called once per pass, gives the same lower and upper from fewer kernel
+    scores, and keeps nothing from one pass to the next. ``estimate`` builds
+    every score approximately in a few batched BLAS calls, with a bound on
+    how far it can lie from the kernel's score; ``interval`` widens the two
+    into a (lo, hi) pair, larger meaning nearer, that holds the kernel's
+    score with a slack to spare. A gene that ``_settle`` decides takes its
+    best cluster and ratio tests from those intervals, whether it is crisp or
+    in the boundary. Every other gene (ties, genes on the threshold, D = 0,
+    overflow, heavy cancellation) is scored by the kernel on ``X[rows]``. The
+    kernels give each row the bits it gets in the whole matrix, so every
+    mask, and with it every centroid, equals the plain rule's.
 
     Soundness, with u = 2**-53, m columns, any summation order, with or
     without FMA. Distances: ||x||^2 + ||z||^2 - 2 x.z as computed, and the
@@ -350,11 +333,10 @@ class _FilteredRule:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             best, within, decided = _settle(*self.interval(*self.estimate(X, Z)), threshold)
         lower, upper = _ratio_masks(best, within)
-        scores = np.full(len(X), np.nan)
         rows = np.flatnonzero(~decided)
         if rows.size:
-            scores[rows], lower[rows], upper[rows] = self.plain(X[rows], Z, epsilon)
-        return scores, lower, upper
+            lower[rows], upper[rows] = self.plain(X[rows], Z, epsilon)
+        return lower, upper
 
 
 class _DistanceRule(_FilteredRule):
@@ -381,7 +363,7 @@ class _DistanceRule(_FilteredRule):
         best = d2.argmin(axis=1)
         d = np.sqrt(d2)
         d_best = d[rows, best][:, None]
-        return (d2[rows, best], *_ratio_masks(best, (d <= epsilon * d_best) & (d > d_best)))
+        return _ratio_masks(best, (d <= epsilon * d_best) & (d > d_best))
 
     @staticmethod
     def threshold(epsilon):
@@ -406,15 +388,6 @@ class _DistanceRule(_FilteredRule):
         hi = np.subtract(bound, d2, out=bound)
         hi *= 1 - _SLACK
         return lo, hi
-
-
-class _NearestRule(_DistanceRule):
-    """The distance rule as kmeans runs it, at epsilon 1, which also gives
-    every gene's distance to its own cluster, for the SSE history."""
-
-    def __call__(self, X, Z, epsilon):
-        _, lower, upper = super().__call__(X, Z, epsilon)
-        return _own_sq_distances(X, Z, lower), lower, upper
 
 
 class _SimilarityRule(_FilteredRule):
@@ -444,7 +417,7 @@ class _SimilarityRule(_FilteredRule):
         rows = np.arange(S.shape[0])
         best = S.argmax(axis=1)
         s_best = S[rows, best][:, None]
-        return (S[rows, best], *_ratio_masks(best, (S >= epsilon * s_best) & (S < s_best)))
+        return _ratio_masks(best, (S >= epsilon * s_best) & (S < s_best))
 
     @staticmethod
     def threshold(epsilon):
@@ -480,7 +453,8 @@ def _to_sets(lower, upper) -> tuple[tuple, tuple]:
 
 def _to_masks(lower_sets, upper_sets, n) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`_to_sets` for n genes. A gene in two lower
-    approximations, or in a lower approximation and not its upper one, raises
+    approximations, in a lower approximation and not its upper one, or in a
+    lower approximation and another cluster's upper one raises
     ValidationError."""
     lower = np.full(n, -1, dtype=np.int64)
     upper = np.zeros((n, len(upper_sets)), dtype=bool)
@@ -497,6 +471,13 @@ def _to_masks(lower_sets, upper_sets, n) -> tuple[np.ndarray, np.ndarray]:
                 if lower[i] >= 0 else
                 f"gene {i} is in the lower approximation of cluster {h} but not its upper one")
         lower[low] = h
+    bad = np.flatnonzero((lower >= 0) & (np.count_nonzero(upper, axis=1) > 1))
+    if bad.size:
+        i = bad[0]
+        other = np.flatnonzero(upper[i])
+        raise ValidationError(
+            f"gene {i} is in the lower approximation of cluster {lower[i]} and the upper "
+            f"approximation of cluster {other[other != lower[i]][0]}")
     return lower, upper
 
 
@@ -534,8 +515,8 @@ def _update_centroids(X, lower, upper, w_lower, w_upper, previous) -> np.ndarray
 
 def _engine(X, params, rule, epsilon, initial_centroids, observe):
     """The assign/update loop of all three engines; ``rule(X)``, made once per
-    run, gives (best scores, lower, upper) for ``(X, Z, epsilon)`` each pass,
-    and ``observe`` sees them every pass.
+    run, gives (lower, upper) for ``(X, Z, epsilon)`` each pass, and
+    ``observe(iteration, lower, upper, Z)`` sees them every pass.
 
     A pass maps centroids to centroids through X and the fixed parameters
     only. So once pass t ends on the centroids of an earlier pass s (pass 0
@@ -556,9 +537,9 @@ def _engine(X, params, rule, epsilon, initial_centroids, observe):
     history = [centroids]  # history[p]: the centroids pass p ended on
     seen = {centroids.tobytes(): 0}
     for iterations in range(1, params.max_iter + 1):
-        best, lower, upper = assign(X, centroids, epsilon)
+        lower, upper = assign(X, centroids, epsilon)
         if observe is not None:
-            observe(iterations, best, lower, upper, centroids)
+            observe(iterations, lower, upper, centroids)
         had_empty = had_empty or not upper.any(axis=0).all()
         new = _update_centroids(X, lower, upper, params.w_lower, params.w_upper, centroids)
         shift = float(np.abs(new - centroids).max())
@@ -571,7 +552,7 @@ def _engine(X, params, rule, epsilon, initial_centroids, observe):
             if s < iterations:
                 last = s + 1 + (params.max_iter - s - 1) % (iterations - s)
                 if last < iterations:
-                    _, lower, upper = assign(X, history[last - 1], epsilon)
+                    lower, upper = assign(X, history[last - 1], epsilon)
                     centroids = history[last]
                 return lower, upper, centroids, params.max_iter, False, had_empty
             history.append(centroids)
@@ -581,32 +562,22 @@ def _engine(X, params, rule, epsilon, initial_centroids, observe):
 def kmeans(data, params: RoughParams, initial_centroids=None) -> CrispClustering:
     """Lloyd iteration: nearest-centroid assignment, mean update, until stable.
 
-    Distance ties go to the lowest cluster index. The recorded SSE history
-    (one entry per assignment pass) is non-increasing.
+    Distance ties go to the lowest cluster index. This is ``rough_kmeans`` at
+    epsilon 1, bit for bit, so its passes can be watched through that
+    engine's ``on_iteration`` hook.
     """
     X = _as_matrix(data)
-    history: list[float] = []
-
-    def observe(it, d2_best, lower, upper, Z):
-        history.append(float(d2_best.sum()))
-
     assignment, _, centroids, iterations, converged, _ = _engine(
-        X, params, _NearestRule, 1.0, initial_centroids, observe
+        X, params, _DistanceRule, 1.0, initial_centroids, None
     )
-    return CrispClustering(
-        assignment=assignment,
-        centroids=centroids,
-        iterations=iterations,
-        converged=converged,
-        sse=sum_squared_error(X, assignment, centroids),
-        sse_history=tuple(history),
-    )
+    return CrispClustering(assignment, centroids, iterations, converged,
+                           sum_squared_error(X, assignment, centroids))
 
 
 def _rough_engine(X, params, rule, epsilon, initial_centroids, on_iteration):
     observe = None
     if on_iteration is not None:
-        def observe(it, best, lower, upper, Z):
+        def observe(it, lower, upper, Z):
             on_iteration(it, *_to_sets(lower, upper), Z)
     lower, upper, centroids, iterations, converged, had_empty = _engine(
         X, params, rule, epsilon, initial_centroids, observe
@@ -623,8 +594,7 @@ def rough_assign(data, centroids, epsilon: float) -> tuple[tuple, tuple]:
     upper sets. A gene sitting exactly on a centroid is crisp there.
     """
     _distance_epsilon(epsilon)
-    _, lower, upper = _DistanceRule.plain(*_as_finite_pair(data, centroids), epsilon)
-    return _to_sets(lower, upper)
+    return _to_sets(*_DistanceRule.plain(*_as_finite_pair(data, centroids), epsilon))
 
 
 def rough_centroids(data, lower, upper, w_lower: float, w_upper: float,
@@ -635,8 +605,9 @@ def rough_centroids(data, lower, upper, w_lower: float, w_upper: float,
     w_lower * mean(lower) + w_upper * mean(boundary); with either side empty
     it is the plain mean of the upper approximation. A cluster whose upper
     approximation is empty keeps its previous centroid, which the caller must
-    supply in that case. A gene in two lower approximations, or a lower
-    approximation outside its upper one, raises ValidationError.
+    supply in that case. A gene in two lower approximations, a lower
+    approximation outside its upper one, or a crisp gene in another cluster's
+    upper approximation raises ValidationError.
     """
     _check_weights(w_lower, w_upper)
     X = _as_matrix(data)
@@ -668,8 +639,7 @@ def fsrk_assign(memberships, centroids, epsilon: float) -> tuple[tuple, tuple]:
     _similarity_epsilon(epsilon)
     M, Z = _as_finite_pair(memberships, centroids)
     _check_unit_interval(Z, "fsrk centroids")
-    _, lower, upper = _SimilarityRule.plain(M, Z, epsilon)
-    return _to_sets(lower, upper)
+    return _to_sets(*_SimilarityRule.plain(M, Z, epsilon))
 
 
 def fsrk_kmeans(memberships, params: RoughParams, initial_centroids=None,

@@ -25,7 +25,7 @@ from genecluster.fuzzysoft import fuzzify, similarity
 from genecluster.genefilter import DiscretizationSpec, entropy, information_gain, rank_and_select
 from genecluster.ingest import ClassLabels, ExpressionMatrix
 from genecluster.validity import crispify, db_index, xb_index
-from test_clustering import assert_rough_axioms
+from test_clustering import assert_rough_axioms, sse_per_pass
 
 
 def passed(number, label):
@@ -108,8 +108,7 @@ def test_criterion_04_kmeans_desk_scale_optimality():
         points = rng.uniform(-10, 10, size=(n, 1))
         best_sse = None
         for seed in range(20):
-            result = kmeans(points, RoughParams(k=2, seed=seed))
-            hist = result.sse_history
+            result, hist = sse_per_pass(points, RoughParams(k=2, seed=seed))
             assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
             if best_sse is None or result.sse < best_sse:
                 best_sse = result.sse

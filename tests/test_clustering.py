@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from genecluster.clustering import (
     rough_assign,
     rough_centroids,
     rough_kmeans,
+    sum_squared_error,
 )
 from genecluster.errors import DomainError, ParameterError, ShapeError, ValidationError
 from genecluster.fuzzysoft import similarity
@@ -41,6 +43,30 @@ def assert_rough_axioms(lower, upper, n):
         else:
             assert len(uppers) >= 2
     assert covered == set(range(n))
+
+
+def lower_index(lower, n):
+    """Each gene's lower approximation, -1 for a gene in none."""
+    index = np.full(n, -1)
+    for h, genes in enumerate(lower):
+        index[list(genes)] = h
+    return index
+
+
+def sse_per_pass(data, params):
+    """kmeans' result and each pass's SSE, read from the run it equals bit for
+    bit: rough_kmeans at epsilon 1, whose hook sees each pass's lower sets and
+    the centroids that pass assigned against."""
+    X = np.asarray(data, dtype=float)
+    history = []
+
+    def hook(it, lower, upper, Z):
+        history.append(sum_squared_error(X, lower_index(lower, len(X)), Z))
+
+    rough = rough_kmeans(X, replace(params, epsilon=1.0), on_iteration=hook)
+    result = kmeans(X, params)
+    assert rough.centroids.tobytes() == result.centroids.tobytes()
+    return result, history
 
 
 class TestInitCentroids:
@@ -96,13 +122,12 @@ class TestKMeans:
         result = kmeans(data, RoughParams(k=3, seed=3))
         assert result.sse == 0.0
 
-    def test_sse_history_non_increasing(self):
+    def test_sse_per_pass_non_increasing(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             data = rng.normal(size=(int(rng.integers(5, 30)), int(rng.integers(1, 4))))
             k = int(rng.integers(1, min(5, len(data)) + 1))
-            result = kmeans(data, RoughParams(k=k, seed=int(rng.integers(1000))))
-            hist = result.sse_history
+            result, hist = sse_per_pass(data, RoughParams(k=k, seed=int(rng.integers(1000))))
             assert all(b <= a + 1e-9 for a, b in zip(hist, hist[1:]))
             assert result.sse <= hist[-1] + 1e-9
 
@@ -272,6 +297,21 @@ class TestRoughKMeans:
         for h in range(2):
             assert rough.lower[h] == frozenset(np.flatnonzero(crisp.assignment == h).tolist())
             assert rough.upper[h] == rough.lower[h]
+
+    @pytest.mark.parametrize("whole", [False, True], ids=["modules", "whole-numbers"])
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_epsilon_one_is_kmeans_bit_for_bit(self, seed, k, whole):
+        X, _ = modules(np.random.default_rng(seed), 150, 6, 4)
+        if whole:
+            X = np.round(2 * X)  # duplicate rows and exact distance ties
+        params = RoughParams(k=k, seed=seed)
+        crisp = kmeans(X, params)
+        rough = rough_kmeans(X, replace(params, epsilon=1.0))
+        assert rough.upper == rough.lower  # no boundary gene
+        assert np.array_equal(lower_index(rough.lower, len(X)), crisp.assignment)
+        assert rough.centroids.tobytes() == crisp.centroids.tobytes()
+        assert (rough.iterations, rough.converged) == (crisp.iterations, crisp.converged)
 
     def test_single_cluster(self):
         data = np.random.default_rng(10).normal(size=(9, 2))
@@ -503,7 +543,6 @@ def assert_same_result(a, b):
     assert (a.iterations, a.converged) == (b.iterations, b.converged)
     if isinstance(a, CrispClustering):
         assert np.array_equal(a.assignment, b.assignment)
-        assert np.array(a.sse_history).tobytes() == np.array(b.sse_history).tobytes()
         assert a.sse == b.sse
     else:
         assert (a.lower, a.upper, a.had_empty_cluster) == (b.lower, b.upper, b.had_empty_cluster)
@@ -518,7 +557,7 @@ class TestBoundedRule:
     def both(monkeypatch, engine, data, params, hooked=False, **kw):
         filtered, seen_filtered = recorded(engine, data, params, hooked, **kw)
         with monkeypatch.context() as patch:  # the engines' rules, each made plain
-            for name in ("_NearestRule", "_DistanceRule", "_SimilarityRule"):
+            for name in ("_DistanceRule", "_SimilarityRule"):
                 rule = getattr(clustering, name)
                 patch.setattr(clustering, name, lambda X, rule=rule: rule.plain)
             plain, seen_plain = recorded(engine, data, params, hooked, **kw)
@@ -624,7 +663,8 @@ class TestFilteredRule:
 
     @pytest.mark.parametrize("n, m, profiles, k", [(3 * _block_rows(34) + 11, 34, 5, 5),
                                                    (150, 6, 4, 2)], ids=["blocks3-k5", "n150-k2"])
-    @pytest.mark.parametrize("engine, memberships", [(rough_kmeans, False), (fsrk_kmeans, True)])
+    @pytest.mark.parametrize("engine, memberships", [(kmeans, False), (rough_kmeans, False),
+                                                     (fsrk_kmeans, True)])
     def test_decided_genes_skip_the_kernel(self, monkeypatch, engine, memberships,
                                            n, m, profiles, k):
         X, M = modules(np.random.default_rng(9), n, m, profiles)
@@ -690,7 +730,7 @@ class TestFilteredRule:
                 if not (eps >= 1 if distance else 0 < eps <= 1):
                     continue
                 got, want = instance(X, Z, eps), rule.plain(X, Z, eps)
-                assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("engine", [kmeans, rough_kmeans])
     @pytest.mark.parametrize("offset, scale", [(1e6, 1.0), (1e154, 1e150)])

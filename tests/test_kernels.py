@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from genecluster.clustering import _own_sq_distances, _sq_distances
+from genecluster.clustering import _sq_distances
 from genecluster.fuzzysoft import _similarities
 from genecluster.ingest import _block_rows
 
@@ -44,14 +44,6 @@ def test_sq_distances_bit_equal_to_broadcast(n, k, m):
     X, Z = raw_scale(rng, n, k, m)
     assert np.array_equal(_sq_distances(X, Z), oracles.sq_distances_broadcast(X, Z))
 
-
-
-@pytest.mark.parametrize("n,k,m", SHAPES)
-def test_own_sq_distances_bit_equal_to_their_column(n, k, m):
-    rng = np.random.default_rng(n * 31 + k * 7 + m)
-    X, Z = raw_scale(rng, n, k, m)
-    own = rng.integers(0, k, size=n)
-    assert np.array_equal(_own_sq_distances(X, Z, own), _sq_distances(X, Z)[np.arange(n), own])
 
 @pytest.mark.parametrize("n,k,m", SHAPES)
 def test_similarities_bit_equal_to_per_centroid(n, k, m):
