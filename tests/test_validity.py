@@ -250,6 +250,25 @@ class TestCrispify:
         with pytest.raises(ValidationError, match="lower approximation"):
             crispify(rough, np.array([[1.0], [2.0], [4.0], [8.0]]))
 
+    def test_more_centroids_than_clusters_rejected(self):
+        rough = RoughClustering(
+            lower=(frozenset({0}), frozenset({3})),
+            upper=(frozenset({0, 1, 2}), frozenset({1, 2, 3})),
+            centroids=np.array([[1.0], [4.0], [8.0]]), iterations=1, converged=True,
+        )
+        with pytest.raises(ShapeError, match="3 centroids vs 2 clusters"):
+            crispify(rough, np.array([[1.0], [2.0], [4.0], [8.0]]))
+
+    def test_more_lower_sets_than_upper_sets_rejected(self):
+        # the third lower set used to be dropped, so gene 2 was resolved as a boundary gene
+        rough = RoughClustering(
+            lower=(frozenset({0}), frozenset({3}), frozenset({2})),
+            upper=(frozenset({0, 1, 2}), frozenset({1, 2, 3})),
+            centroids=np.array([[1.0], [8.0]]), iterations=1, converged=True,
+        )
+        with pytest.raises(ShapeError, match="3 lower sets vs 2 upper sets"):
+            crispify(rough, np.array([[1.0], [2.0], [4.0], [8.0]]))
+
     @pytest.mark.parametrize("metric", ["distance", "similarity"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_data_or_centroids_rejected(self, bad, metric):
