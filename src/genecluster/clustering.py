@@ -455,7 +455,9 @@ def _to_masks(lower_sets, upper_sets, n) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`_to_sets` for n genes. A gene in two lower
     approximations, in a lower approximation and not its upper one, or in a
     lower approximation and another cluster's upper one raises
-    ValidationError."""
+    ValidationError; unequal numbers of lower and upper sets raise ShapeError."""
+    if len(upper_sets) != len(lower_sets):
+        raise ShapeError(f"{len(lower_sets)} lower sets vs {len(upper_sets)} upper sets")
     lower = np.full(n, -1, dtype=np.int64)
     upper = np.zeros((n, len(upper_sets)), dtype=bool)
     for h, sets in enumerate(zip(lower_sets, upper_sets)):
@@ -611,8 +613,6 @@ def rough_centroids(data, lower, upper, w_lower: float, w_upper: float,
     """
     _check_weights(w_lower, w_upper)
     X = _as_matrix(data)
-    if len(upper) != len(lower):
-        raise ShapeError(f"{len(lower)} lower sets vs {len(upper)} upper sets")
     lower_idx, upper_mask = _to_masks(lower, upper, X.shape[0])
     return _update_centroids(X, lower_idx, upper_mask, w_lower, w_upper, previous_centroids)
 

@@ -31,7 +31,7 @@ from .clustering import (
     _to_masks,
     sum_squared_error,
 )
-from .errors import DegenerateClusteringError, ParameterError, ValidityError
+from .errors import DegenerateClusteringError, ParameterError, ShapeError, ValidityError
 from .fuzzysoft import _similarities
 
 __all__ = [
@@ -111,10 +111,13 @@ def crispify(rough: RoughClustering, data, metric: str = "distance") -> np.ndarr
     Euclidean distance for ``metric="distance"``, maximum soft-set similarity
     for ``metric="similarity"``; ties to the lowest cluster index. Proximity
     is measured to ``rough.centroids`` with the kernel the engines use.
+    Centroid, lower-set and upper-set counts that differ raise ShapeError.
     """
     if metric not in ("distance", "similarity"):
         raise ParameterError(f"metric must be 'distance' or 'similarity', got {metric!r}")
     X, Z = _as_finite_pair(data, rough.centroids)
+    if len(Z) != len(rough.upper):
+        raise ShapeError(f"{len(Z)} centroids vs {len(rough.upper)} clusters")
     assignment, upper = _to_masks(rough.lower, rough.upper, X.shape[0])
     boundary = np.flatnonzero(assignment < 0)
     candidates = upper[boundary]
