@@ -223,6 +223,14 @@ class TestRoughCentroids:
         )
         assert out[1, 0] == 40.0
 
+    @pytest.mark.parametrize("previous", [np.ones((1, 3)), [[7.0], [7.0]]],
+                             ids=["too-few-rows", "too-narrow"])
+    def test_previous_centroids_of_the_wrong_shape_rejected(self, previous):
+        data = np.arange(6.0).reshape(2, 3)
+        lower, upper = [frozenset({0, 1}), frozenset()], [frozenset({0, 1}), frozenset()]
+        with pytest.raises(ShapeError, match=r"previous centroids must be 2x3"):
+            rough_centroids(data, lower, upper, 0.7, 0.3, previous_centroids=previous)
+
     def test_empty_cluster_without_previous(self):
         with pytest.raises(ParameterError):
             rough_centroids(np.array([[1.0]]), [frozenset()], [frozenset()], 0.7, 0.3)
