@@ -225,11 +225,11 @@ def init_centroids(data, k: int, seed=None) -> np.ndarray:
     return X[idx].copy()
 
 
-def _check_initial(initial, k, width) -> np.ndarray:
-    Z = _as_matrix(initial)
+def _check_centroids(centroids, k, width, what="initial centroids") -> np.ndarray:
+    Z = _as_matrix(centroids)
     if Z.shape != (k, width):
-        raise ShapeError(f"initial centroids must be {k}x{width}, got {Z.shape}")
-    _check_finite(Z, "initial centroids")
+        raise ShapeError(f"{what} must be {k}x{width}, got {Z.shape}")
+    _check_finite(Z, what)
     return Z.copy()
 
 
@@ -531,7 +531,7 @@ def _engine(X, params, rule, epsilon, initial_centroids, observe):
     if initial_centroids is None:
         centroids = init_centroids(X, params.k, params.seed)
     else:
-        centroids = _check_initial(initial_centroids, params.k, X.shape[1])
+        centroids = _check_centroids(initial_centroids, params.k, X.shape[1])
 
     assign = rule(X)
     converged = False
@@ -607,13 +607,17 @@ def rough_centroids(data, lower, upper, w_lower: float, w_upper: float,
     w_lower * mean(lower) + w_upper * mean(boundary); with either side empty
     it is the plain mean of the upper approximation. A cluster whose upper
     approximation is empty keeps its previous centroid, which the caller must
-    supply in that case. A gene in two lower approximations, a lower
-    approximation outside its upper one, or a crisp gene in another cluster's
-    upper approximation raises ValidationError.
+    supply in that case. Previous centroids that are not k x m raise
+    ShapeError, and non-finite ones DomainError. A gene in two lower
+    approximations, a lower approximation outside its upper one, or a crisp
+    gene in another cluster's upper approximation raises ValidationError.
     """
     _check_weights(w_lower, w_upper)
     X = _as_matrix(data)
     lower_idx, upper_mask = _to_masks(lower, upper, X.shape[0])
+    if previous_centroids is not None:
+        previous_centroids = _check_centroids(previous_centroids, upper_mask.shape[1], X.shape[1],
+                                              "previous centroids")
     return _update_centroids(X, lower_idx, upper_mask, w_lower, w_upper, previous_centroids)
 
 

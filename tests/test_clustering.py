@@ -231,6 +231,11 @@ class TestRoughCentroids:
         with pytest.raises(ShapeError, match=r"previous centroids must be 2x3"):
             rough_centroids(data, lower, upper, 0.7, 0.3, previous_centroids=previous)
 
+    def test_non_finite_previous_centroids_rejected(self):
+        with pytest.raises(DomainError, match="previous centroids must be finite"):
+            rough_centroids([[1.0], [2.0]], [frozenset({0, 1}), frozenset()],
+                            [frozenset({0, 1}), frozenset()], 0.7, 0.3, [[1.5], [np.nan]])
+
     def test_empty_cluster_without_previous(self):
         with pytest.raises(ParameterError):
             rough_centroids(np.array([[1.0]]), [frozenset()], [frozenset()], 0.7, 0.3)
