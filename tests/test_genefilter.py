@@ -9,6 +9,7 @@ from genecluster.errors import (
     DegenerateLabelsError,
     InvalidDistributionError,
     ParameterError,
+    ValidationError,
 )
 from genecluster.genefilter import (
     DiscretizationSpec,
@@ -228,6 +229,14 @@ class TestRankAndSelect:
             rank_and_select(matrix, labels, DiscretizationSpec(2), 2.5)
         _, sub = rank_and_select(matrix, labels, DiscretizationSpec(2), np.int64(2))
         assert sub.n_genes == 2
+
+    @pytest.mark.parametrize("sample_ids", [("s3", "s0", "s1", "s2"), ("t0", "t1", "t2", "t3")],
+                             ids=["reordered", "other-samples"])
+    def test_labels_for_another_sample_order_rejected(self, sample_ids):
+        matrix = ExpressionMatrix(("g0",), sample_ids, [[9.0, 0.0, 0.0, 9.0]])
+        labels = build_labels(["A", "A", "B", "B"])
+        with pytest.raises(ValidationError, match="labels do not cover the matrix's samples"):
+            rank_and_select(matrix, labels, DiscretizationSpec(2), 1)
 
     def test_filtered_dimensions(self):
         rng = np.random.default_rng(6)
