@@ -253,14 +253,16 @@ def rank_and_select(
 
     The returned sub-matrix holds exactly the top_n genes by descending IG
     (exact ties by original index), in their original relative order; the
-    sample axis is untouched.
+    sample axis is untouched. ClassLabels made for other samples, or for the
+    matrix's samples in another order, raise ValidationError.
     """
     n = matrix.n_genes
     _check_integer("top_n", top_n, 1)
     if top_n > n:
         raise ParameterError(f"top_n must be <= {n} genes, got {top_n}")
     y = _class_vector(labels)
-    if y.shape != (matrix.n_samples,):
+    aligned = not isinstance(labels, ClassLabels) or labels.sample_ids == matrix.sample_ids
+    if y.shape != (matrix.n_samples,) or not aligned:
         raise ValidationError("labels do not cover the matrix's samples")
 
     bins, n_classes = spec.bin_count, int(y.max()) + 1
