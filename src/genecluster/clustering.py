@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, ShapeError, ValidationError, _check_integer
 from .fuzzysoft import _similarities
-from .ingest import _block_rows
+from .ingest import _tiles
 
 __all__ = [
     "RoughParams",
@@ -236,23 +236,14 @@ def _check_centroids(centroids, k, width, what="initial centroids") -> np.ndarra
 def _sq_distances(X, centroids) -> np.ndarray:
     """Squared Euclidean distance of every row of X to every centroid, (n, k).
 
-    X is taken in row blocks: a block's differences to one centroid go into
-    one reused buffer, summed per row by the einsum that the unblocked
-    (n, k, m) form used, so every distance keeps its bits. Each centroid is
-    copied once into a block-sized tile, so the subtraction runs over two
-    contiguous blocks instead of broadcasting the centroid row by row.
+    Taken over ``ingest._tiles``: a block's differences to one centroid are
+    summed per row by the einsum that the unblocked (n, k, m) form used, so
+    every distance keeps its bits.
     """
-    n, m = X.shape
-    out = np.empty((n, len(centroids)))
-    rows = _block_rows(m)
-    diff, tile = np.empty((2, min(rows, n), m))
-    for h, z in enumerate(centroids):
-        tile[...] = z
-        for start in range(0, n, rows):
-            block = X[start : start + rows]
-            r = block.shape[0]
-            np.subtract(block, tile[:r], out=diff[:r])
-            np.einsum("nm,nm->n", diff[:r], diff[:r], out=out[start : start + rows, h])
+    out = np.empty((X.shape[0], len(centroids)))
+    for h, rows, block, tile, diff in _tiles(X, centroids):
+        np.subtract(block, tile, out=diff)
+        np.einsum("nm,nm->n", diff, diff, out=out[rows, h])
     return out
 
 
@@ -394,19 +385,16 @@ class _SimilarityRule(_FilteredRule):
     """Soft-set similarities; a gene is in the boundary when S_h / S_best >= epsilon.
 
     The estimate is 1 - N / D: the numerator N = |x - z| . 1 is one GEMV per
-    row block and centroid, into block buffers reused from pass to pass, and
-    the denominator D = sum x + sum z comes from row sums, those of X taken
-    once per run. Where D is 0 (an all-zero gene against an all-zero
-    centroid) the similarity is 1 and the estimate NaN, so the kernel scores
-    every gene that meets such a pair.
+    block of ``ingest._tiles``, and the denominator D = sum x + sum z comes
+    from row sums, those of X taken once per run. Where D is 0 (an all-zero
+    gene against an all-zero centroid) the similarity is 1 and the estimate
+    NaN, so the kernel scores every gene that meets such a pair.
     """
 
     def __init__(self, X):
-        n, m = X.shape
         self.x_sums = np.add.reduce(X, axis=1)
-        self.ones = np.ones(m)
-        self.diff, self.tile = np.empty((2, min(_block_rows(m), n), m))
-        self.error = (4 * m + 8) * 2.0**-53
+        self.ones = np.ones(X.shape[1])
+        self.error = (4 * X.shape[1] + 8) * 2.0**-53
 
     @staticmethod
     def kernel(X, Z):
@@ -424,16 +412,10 @@ class _SimilarityRule(_FilteredRule):
         return epsilon
 
     def estimate(self, X, Z):
-        n, m = X.shape
-        numerators = np.empty((len(Z), n))
-        rows, diff, tile = len(self.diff), self.diff, self.tile
-        for h, z in enumerate(Z):
-            tile[...] = z
-            for start in range(0, n, rows):
-                block = X[start : start + rows]
-                r = block.shape[0]
-                np.abs(np.subtract(block, tile[:r], out=diff[:r]), out=diff[:r])
-                np.dot(diff[:r], self.ones, out=numerators[h, start : start + r])
+        numerators = np.empty((len(Z), X.shape[0]))
+        for h, rows, block, tile, diff in _tiles(X, Z):
+            np.abs(np.subtract(block, tile, out=diff), out=diff)
+            np.dot(diff, self.ones, out=numerators[h, rows])
         S = numerators / (np.add.reduce(Z, axis=1)[:, None] + self.x_sums)
         return np.subtract(1.0, S, out=S), self.error
 
@@ -488,27 +470,21 @@ def _update_centroids(X, lower, upper, w_lower, w_upper, previous) -> np.ndarray
     both are non-empty, else the mean of its upper set, else (that set empty)
     its previous centroid; each lower set lies in its upper set.
 
-    One stable sort of the lower indices gives every lower set, and one scan
-    of the upper mask every boundary (the upper set outside the lower one),
-    each in gene order, so each mean reduces an array laid out as ``X[mask]``
-    is and keeps the bits of ``.mean``.
+    Row h of one (2k, n) mask holds cluster h's lower set, row k + h its
+    boundary (the upper set outside the lower one). Each mean reduces
+    ``X[mask]``, gathered in gene order, so it keeps the bits of ``.mean``.
     """
     n, k = upper.shape
-    key = lower.astype(np.int16) if k < 2**15 else lower  # int16 sorts by radix
-    crisp = np.bincount(lower + 1, minlength=k + 1)[1:]
-    outside = np.empty((k, n), dtype=bool)
-    np.logical_and(upper.T, lower != np.arange(k)[:, None], out=outside)
-    segments = np.split(np.argsort(key, kind="stable")[n - crisp.sum():], np.cumsum(crisp)[:-1])
-    segments += [np.flatnonzero(genes) for genes in outside]
-    counts = np.array([len(rows) for rows in segments])
-    sums = np.array([np.add.reduce(X[rows], axis=0) for rows in segments])
+    members = np.empty((2 * k, n), dtype=bool)
+    np.equal(lower, np.arange(k)[:, None], out=members[:k])
+    np.greater(upper.T, members[:k], out=members[k:])
+    counts = np.count_nonzero(members, axis=1)
+    sums = np.array([np.add.reduce(X[genes], axis=0) for genes in members])
     means = sums.reshape(2 * k, X.shape[1]) / np.maximum(counts, 1)[:, None]
-    boundary = counts[k:]
-    crisp_mean, boundary_mean = means[:k], means[k:]
-    out = np.where(((crisp > 0) & (boundary > 0))[:, None],
-                   w_lower * crisp_mean + w_upper * boundary_mean,
-                   np.where((boundary > 0)[:, None], boundary_mean, crisp_mean))
-    for h in np.flatnonzero(crisp + boundary == 0):
+    crisp, boundary = counts[:k, None] > 0, counts[k:, None] > 0
+    out = np.where(crisp & boundary, w_lower * means[:k] + w_upper * means[k:],
+                   np.where(boundary, means[k:], means[:k]))
+    for h in np.flatnonzero(~(crisp | boundary)):
         if previous is None:
             raise ParameterError(f"cluster {h} is empty and no previous centroids were given")
         out[h] = np.asarray(previous, dtype=float)[h]

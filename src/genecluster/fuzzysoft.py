@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError, ValidationError
-from .ingest import LabelledMatrix, _block_rows
+from .ingest import LabelledMatrix, _tiles
 
 __all__ = [
     "MembershipShape",
@@ -105,28 +105,16 @@ def fuzzify(matrix, kind: str = "s") -> MembershipMatrix:
 def _similarities(X, Z) -> np.ndarray:
     """Similarity of every row of X to every row of Z, as an (n, k) array.
 
-    X is taken in row blocks: a block's |x - z| to one row of Z, then its
-    x + z, go into one reused buffer, summed per row by ``np.add.reduce``
-    as an unblocked ``.sum(axis=1)`` sums them, so every similarity keeps
-    its bits. Each row of Z is copied once into a block-sized tile, so the
-    elementwise steps run over two contiguous blocks instead of broadcasting
-    the row of Z over the block.
+    Taken over ``ingest._tiles``: a block's |x - z| to one row of Z, then its
+    x + z, go into the scratch buffer, summed per row by ``np.add.reduce`` as
+    an unblocked ``.sum(axis=1)`` sums them, so every similarity keeps its
+    bits.
     """
-    n, m = X.shape
-    S = np.empty((n, Z.shape[0]))
-    rows = _block_rows(m)
-    tmp, tile = np.empty((2, min(rows, n), m))
-    for h, z in enumerate(Z):
-        tile[...] = z
-        for start in range(0, n, rows):
-            block = X[start : start + rows]
-            r = block.shape[0]
-            num = np.add.reduce(np.abs(np.subtract(block, tile[:r], out=tmp[:r]), out=tmp[:r]),
-                                axis=1)
-            den = np.add.reduce(np.add(block, tile[:r], out=tmp[:r]), axis=1)
-            S[start : start + rows, h] = np.where(
-                den != 0, 1.0 - num / np.where(den != 0, den, 1.0), 1.0
-            )
+    S = np.empty((X.shape[0], len(Z)))
+    for h, rows, block, tile, tmp in _tiles(X, Z):
+        num = np.add.reduce(np.abs(np.subtract(block, tile, out=tmp), out=tmp), axis=1)
+        den = np.add.reduce(np.add(block, tile, out=tmp), axis=1)
+        S[rows, h] = np.where(den != 0, 1.0 - num / np.where(den != 0, den, 1.0), 1.0)
     return S
 
 

@@ -61,6 +61,26 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_CELLS // max(1, width))
 
 
+def _tiles(X, Z) -> Iterator[tuple]:
+    """The row-block loop of the per-centroid kernels: (h, rows, block, tile, scratch).
+
+    For each row z of Z (index h), X is walked in row blocks ``X[rows]``.
+    ``tile`` is z copied to the block's shape, so elementwise steps run over
+    two contiguous blocks instead of broadcasting z row by row, and
+    ``scratch`` is a free buffer of that shape. Both are reused for every
+    block and every h.
+    """
+    n, m = X.shape
+    step = _block_rows(m)
+    tiles, scratches = np.empty((2, min(step, n), m))
+    for h, z in enumerate(Z):
+        tiles[...] = z
+        for start in range(0, n, step):
+            rows = slice(start, min(start + step, n))
+            r = rows.stop - start
+            yield h, rows, X[rows], tiles[:r], scratches[:r]
+
+
 def _sniff_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
