@@ -5,6 +5,7 @@ import logging
 import os
 
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +311,19 @@ class TestRunExperiment:
             assert r.iterations >= 1
         lines = (out / "ranking.csv").read_text().splitlines()
         assert len(lines) == n + 1
+
+    def test_every_traced_layer_called_through_cli(self, small_dataset, tmp_path, monkeypatch):
+        # the benchmark's per-layer numbers come from wrappers swapped into the
+        # cli namespace; a layer that cli stops calling there would read zero
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import tracing
+
+        matrix_path, labels_path, _ = small_dataset
+        config = make_config(matrix_path, labels_path, tmp_path / "out")
+        trace = tracing.Trace()
+        with tracing.traced(cli, trace):
+            run_experiment(config)
+        trace.check_complete(config.algorithms)
 
 
 # sha256 of the outputs of a seeded 300x20 run, all three engines at k=3 with
