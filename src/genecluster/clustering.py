@@ -471,15 +471,17 @@ def _update_centroids(X, lower, upper, w_lower, w_upper, previous) -> np.ndarray
     its previous centroid; each lower set lies in its upper set.
 
     Row h of one (2k, n) mask holds cluster h's lower set, row k + h its
-    boundary (the upper set outside the lower one). Each mean reduces
-    ``X[mask]``, gathered in gene order, so it keeps the bits of ``.mean``.
+    boundary (the upper set outside the lower one). Each mean reduces the
+    rows ``np.compress`` gathers in gene order, laid out as ``X[mask]`` is,
+    so it keeps the bits of ``.mean``. Per-row ``count_nonzero`` and
+    ``compress`` cost less here than their 2-D or boolean-index forms.
     """
     n, k = upper.shape
     members = np.empty((2 * k, n), dtype=bool)
     np.equal(lower, np.arange(k)[:, None], out=members[:k])
     np.greater(upper.T, members[:k], out=members[k:])
-    counts = np.count_nonzero(members, axis=1)
-    sums = np.array([np.add.reduce(X[genes], axis=0) for genes in members])
+    counts = np.array([np.count_nonzero(genes) for genes in members])
+    sums = np.array([np.add.reduce(np.compress(genes, X, axis=0), axis=0) for genes in members])
     means = sums.reshape(2 * k, X.shape[1]) / np.maximum(counts, 1)[:, None]
     crisp, boundary = counts[:k, None] > 0, counts[k:, None] > 0
     out = np.where(crisp & boundary, w_lower * means[:k] + w_upper * means[k:],
