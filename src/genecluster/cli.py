@@ -9,8 +9,10 @@ stage) and builds the run's one ``RoughParams`` before any input is read.
 kmeans and rough cluster the filtered raw-valued matrix; fsrk clusters the
 fuzzified one. Each algorithm runs ``restarts`` times on that
 ``RoughParams`` with the engine's epsilon and seeds seed, seed+1, ... filled
-in, and the restart with the lowest DB index is reported; report.json echoes
-the fields it ran with, plus restart, top_genes, bins and fuzzify.
+in. Every restart gets a DB index; only the one with the lowest (the earliest
+on ties) also gets its XB index, SSE and membership masks, and is reported.
+report.json echoes the fields it ran with, plus restart, top_genes, bins and
+fuzzify.
 report.csv and ``compare`` write each row through one formatter. Outputs
 (report.csv, report.json, assignments-<algorithm>.csv, ranking.csv) are
 written atomically and contain no timestamps, so identical configs produce
@@ -33,6 +35,7 @@ import numpy as np
 from .clustering import (
     DEFAULT_FSRK_EPSILON,
     DEFAULT_ROUGH_EPSILON,
+    CrispClustering,
     RoughParams,
     _to_masks,
     fsrk_kmeans,
@@ -111,20 +114,22 @@ def _stage(name, fn, *args, **kwargs):
 
 
 def _run_algorithm(algorithm, raw_values, fuzzy_values, params):
-    """One clustering run: (crisp assignment, lower index, upper mask, result, data scored).
-
-    The lower index is -1 for a boundary gene; the upper mask is (n, k).
-    """
+    """One clustering run: (crisp assignment, result, data scored)."""
     if algorithm == "kmeans":
         result = kmeans(raw_values, params)
-        a = result.assignment
-        return a, a, np.eye(params.k, dtype=bool)[a], result, raw_values
+        return result.assignment, result, raw_values
     if algorithm == "rough":
         result, scored, metric = rough_kmeans(raw_values, params), raw_values, "distance"
     else:
         result, scored, metric = fsrk_kmeans(fuzzy_values, params), fuzzy_values, "similarity"
-    lower, upper = _to_masks(result.lower, result.upper, scored.shape[0])
-    return crispify(result, scored, metric=metric), lower, upper, result, scored
+    return crispify(result, scored, metric=metric), result, scored
+
+
+def _memberships(result, n, k):
+    """Lower index (-1 for a boundary gene) and (n, k) upper mask of an engine result."""
+    if isinstance(result, CrispClustering):
+        return result.assignment, np.eye(k, dtype=bool)[result.assignment]
+    return _to_masks(result.lower, result.upper, n)
 
 
 def _assignment_rows(gene_ids, lower, upper):
@@ -155,8 +160,8 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
     """Run the full pipeline once per (algorithm, restart) and write reports.
 
     Per algorithm, the restart with the lowest DB index wins (earliest
-    restart on ties); restarts whose clustering cannot be scored are skipped
-    with a warning.
+    restart on ties) and alone is scored by XB and SSE; restarts whose
+    clustering cannot be scored are skipped with a warning.
     """
     params = _stage("startup", config.validate)
     dataset = config.dataset_tag
@@ -188,41 +193,41 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
         best = None
         for restart in range(config.restarts):
             run = replace(params, epsilon=epsilon, seed=config.seed + restart)
-            crisp, lower, upper, result, scored = _stage(
+            crisp, result, scored = _stage(
                 "cluster", _run_algorithm, algorithm, raw, fuzzy_values, run
             )
             log.info("stage validate: %s restart %d", algorithm, restart)
             try:
                 db = db_index(scored, crisp, result.centroids)
-                xb = xb_index(scored, crisp, result.centroids)
             except ValidityError as exc:
                 log.warning("%s restart %d not scorable: %s", algorithm, restart, exc)
                 continue
-            sse = sum_squared_error(scored, crisp, result.centroids)
-            report = ValidityReport(
-                dataset=dataset,
-                algorithm=algorithm,
-                db_index=db,
-                xb_index=xb,
-                sse=sse,
-                iterations=result.iterations,
-                converged=result.converged,
-                params={
-                    **asdict(run),
-                    "restart": restart,
-                    "top_genes": top_n,
-                    "bins": spec.bin_count,
-                    "fuzzify": config.fuzzify if algorithm == "fsrk" else None,
-                },
-            )
-            if best is None or db < best[0].db_index:
-                best = (report, _assignment_rows(filtered.gene_ids, lower, upper))
+            if best is None or db < best[0]:
+                best = (db, restart, run, crisp, result, scored)
         if best is None:
             raise PipelineError(
                 "validate", f"no scorable {algorithm} clustering in {config.restarts} restart(s)"
             )
-        reports.append(best[0])
-        assignment_files[algorithm] = best[1]
+        # xb_index makes db_index's checks, so it cannot fail on the restart db_index scored
+        db, restart, run, crisp, result, scored = best
+        reports.append(ValidityReport(
+            dataset=dataset,
+            algorithm=algorithm,
+            db_index=db,
+            xb_index=xb_index(scored, crisp, result.centroids),
+            sse=sum_squared_error(scored, crisp, result.centroids),
+            iterations=result.iterations,
+            converged=result.converged,
+            params={
+                **asdict(run),
+                "restart": restart,
+                "top_genes": top_n,
+                "bins": spec.bin_count,
+                "fuzzify": config.fuzzify if algorithm == "fsrk" else None,
+            },
+        ))
+        assignment_files[algorithm] = _assignment_rows(
+            filtered.gene_ids, *_memberships(result, len(crisp), config.k))
 
     log.info("stage report: writing to %s", config.out)
     config.out.mkdir(parents=True, exist_ok=True)

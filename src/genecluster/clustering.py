@@ -35,14 +35,15 @@ observer every pass still runs, so the hook sees each one.
 
 Each pass first settles what it can from an estimate: every gene-centroid
 score is built approximately in a few batched BLAS calls (a squared distance
-as ||x||^2 + ||z||^2 - 2 x.z, a similarity's numerator as |x - z| . 1 and its
-denominator from row sums), with a bound on how far it can lie from the
-kernel's score. A gene whose best cluster is unique and whose every ratio
-test passes or fails by more than that bound plus a slack takes its masks
-from the estimate, crisp or in the boundary; every other gene goes through
-the scoring kernel. Nothing is carried from pass to pass. Masks, centroids
-and cycles are the plain rule's bit for bit (``_FilteredRule`` gives the
-argument).
+as ||x||^2 + ||z||^2 - 2 x.z; a similarity as 2 M / D, with M = min(x, z) . 1
+the sum of elementwise minima and D = sum x + sum z from row sums, which is
+1 - |x - z| . 1 / D because memberships are nonnegative), with a bound on
+how far it can lie from the kernel's score. A gene whose best cluster is
+unique and whose every ratio test passes or fails by more than that bound
+plus a slack takes its masks from the estimate, crisp or in the boundary;
+every other gene goes through the scoring kernel. Nothing is carried from
+pass to pass. Masks, centroids and cycles are the plain rule's bit for bit
+(``_FilteredRule`` gives the argument).
 """
 
 from __future__ import annotations
@@ -263,19 +264,25 @@ def _settle(lo, hi, threshold) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     meaning nearer, and the ratio test puts h in the boundary when score_h >=
     threshold * score_best. A gene is decided when one cluster b beats every
     other for sure and every other h passes or fails the test for sure. NaN
-    decides nothing, and a gene with an infinite or NaN interval is not
-    decided. Clusters run along the first axis, so every reduction over them
-    is elementwise over contiguous rows.
+    decides nothing, and a gene with an infinite or NaN interval, which makes
+    the sum of its lo and hi non-finite, is not decided. Clusters run along
+    the first axis, so every reduction over them is elementwise over
+    contiguous rows: the best cluster is the first to reach the largest lo,
+    found as the largest rank k - 1 - h among the clusters h that reach it
+    (a strided argmax costs several times as much).
     """
-    genes = np.arange(lo.shape[1])
-    best = lo.argmax(axis=0)
-    lo_b, hi_b = lo[best, genes], hi[best, genes]
-    within = lo >= threshold * hi_b
+    k, n = lo.shape
+    lo_b = np.maximum.reduce(lo, axis=0)
+    rank = np.arange(k - 1, -1, -1, dtype=np.min_scalar_type(k))[:, None]
+    best = k - 1 - np.maximum.reduce(rank * (lo == lo_b), axis=0).astype(np.intp)
+    flat = best * n + np.arange(n)  # each gene's (best, gene) entry, C order
+    within = lo >= threshold * np.take(hi, flat)
     sure = within | (hi < threshold * lo_b)
     sure &= hi < lo_b
-    within[best, genes] = False
-    sure[best, genes] = True
-    return best, within.T, sure.all(axis=0) & np.isfinite(hi - lo).all(axis=0)
+    np.put(within, flat, False)
+    np.put(sure, flat, True)
+    finite = np.isfinite(np.add.reduce(lo, axis=0) + np.add.reduce(hi, axis=0))
+    return best, within.T, sure.all(axis=0) & finite
 
 
 class _FilteredRule:
@@ -305,12 +312,20 @@ class _FilteredRule:
     epsilon * d_best that the plain test takes: a ratio that clears epsilon
     by the interval clears it in the plain rule, and a best cluster whose
     interval lies strictly above all others is the plain rule's unique best,
-    with every other computed distance strictly larger. Similarities: the
-    numerator and denominator are sums of m nonnegative terms, so the
-    estimate's and the kernel's lie within a relative (m + 1) u of the exact
-    ones, and their 1 - N / D, with N <= D, within (4m + 8) u of each other;
-    the slack is 1e-9 absolute. A score whose estimate overflows, or whose
-    D is 0, reads NaN or infinite and leaves its gene to the kernel.
+    with every other computed distance strictly larger. Similarities: with
+    memberships x, z >= 0, |x_j - z_j| = x_j + z_j - 2 min(x_j, z_j), so the
+    numerator N = D - 2M with M = sum_j min(x_j, z_j) <= D / 2, and
+    S = 1 - N / D = 2M / D <= 1. The estimate's minima are exact and M, the
+    row sums and D are sums of nonnegative terms, within a relative (m - 1) u,
+    (m - 1) u and m u of the exact ones; 2M is exact and the division adds u,
+    so 2M / D lies within about (2m + 2) u of S, absolute since S <= 1. The
+    kernel's N and D are sums of m rounded nonnegative terms, each within a
+    relative (m + 1) u, so its 1 - N / D, with N <= D, lies within about
+    (2m + 4) u of S. The two lie within (4m + 6) u of each other, under the
+    stated (4m + 8) u; underflow loses far less than the slack, which is
+    1e-9 absolute. A score whose estimate overflows (distances) or whose D
+    is 0 (similarities) reads infinite or NaN and leaves its gene to the
+    kernel.
     """
 
     @classmethod
@@ -384,11 +399,13 @@ class _DistanceRule(_FilteredRule):
 class _SimilarityRule(_FilteredRule):
     """Soft-set similarities; a gene is in the boundary when S_h / S_best >= epsilon.
 
-    The estimate is 1 - N / D: the numerator N = |x - z| . 1 is one GEMV per
-    block of ``ingest._tiles``, and the denominator D = sum x + sum z comes
-    from row sums, those of X taken once per run. Where D is 0 (an all-zero
-    gene against an all-zero centroid) the similarity is 1 and the estimate
-    NaN, so the kernel scores every gene that meets such a pair.
+    The estimate is 2M / D, which is 1 - N / D for memberships (see
+    ``_FilteredRule``): M = min(x, z) . 1 takes one ``np.minimum`` and one
+    GEMV per block of ``ingest._tiles``, in place of a subtraction, an
+    absolute value and a GEMV for N = |x - z| . 1, and D = sum x + sum z
+    comes from row sums, those of X taken once per run. Where D is 0 (an
+    all-zero gene against an all-zero centroid) the similarity is 1 and the
+    estimate NaN, so the kernel scores every gene that meets such a pair.
     """
 
     def __init__(self, X):
@@ -412,12 +429,12 @@ class _SimilarityRule(_FilteredRule):
         return epsilon
 
     def estimate(self, X, Z):
-        numerators = np.empty((len(Z), X.shape[0]))
-        for h, rows, block, tile, diff in _tiles(X, Z):
-            np.abs(np.subtract(block, tile, out=diff), out=diff)
-            np.dot(diff, self.ones, out=numerators[h, rows])
-        S = numerators / (np.add.reduce(Z, axis=1)[:, None] + self.x_sums)
-        return np.subtract(1.0, S, out=S), self.error
+        S = np.empty((len(Z), X.shape[0]))
+        for h, rows, block, tile, scratch in _tiles(X, Z):
+            np.dot(np.minimum(block, tile, out=scratch), self.ones, out=S[h, rows])
+        S *= 2.0
+        S /= np.add.reduce(Z, axis=1)[:, None] + self.x_sums
+        return S, self.error
 
     @staticmethod
     def interval(S, bound):

@@ -271,7 +271,8 @@ def _matrix_in_bulk(lines: list[str], delim: str) -> ExpressionMatrix | None:
     input that loop reads without error: a tab or comma delimiter, at least
     one body row and one data column, a header of m or m + 1 fields, exactly
     m delimiters on every body line (``usecols`` would drop extra fields, and
-    ``loadtxt`` skips blank lines), and finite values only. Each cell is
+    ``loadtxt`` skips blank lines), and values that ``ExpressionMatrix``
+    accepts: finite ones, checked there once. Each cell is
     parsed as the loop parses it: ``loadtxt`` strips the whitespace
     ``str.strip`` strips and hands the ASCII rest to
     ``PyOS_string_to_double``, the routine ``float()`` ends in. A cell that
@@ -294,11 +295,12 @@ def _matrix_in_bulk(lines: list[str], delim: str) -> ExpressionMatrix | None:
         )
     except ValueError:
         return None
-    if not np.isfinite(values).all():
-        return None
     gene_ids = tuple(line.split(delim, 1)[0].strip() for line in body)
     sample_ids = tuple(f.strip() for f in header[len(header) - m:])
-    return ExpressionMatrix(gene_ids, sample_ids, values)
+    try:
+        return ExpressionMatrix(gene_ids, sample_ids, values)
+    except ValidationError:  # the loop raises it too, naming a non-finite value's row and column
+        return None
 
 
 def _matrix_by_cell(lines: list[str], delim: str, quoted: bool) -> ExpressionMatrix:

@@ -2,8 +2,8 @@
 
 Everything here is deliberately pure Python (math module, dicts, explicit
 loops) so it shares no code path with the package under test, except the
-numpy formulas at the end: the row-blocked scoring kernels and the one-gather
-centroid update must reproduce those bit for bit.
+numpy formulas at the end: the row-blocked scoring kernels, the one-gather
+centroid update and the interval settle must reproduce those bit for bit.
 """
 
 import math
@@ -246,3 +246,24 @@ def update_centroids_per_cluster(X, lower, upper, w_lower, w_upper, previous):
         else:
             out[h] = X[members].mean(axis=0)
     return out
+
+
+def settle_argmax(lo, hi, threshold):
+    """The interval settle of the filtered rules through a strided argmax.
+
+    (k, n) intervals [lo, hi], larger meaning nearer. Gives each gene's first
+    cluster of largest lo, the (n, k) clusters that pass the ratio test
+    against it for sure, and the genes that are decided: one cluster beats
+    every other for sure, every other passes or fails for sure, and every lo
+    and hi of the gene is finite.
+    """
+    genes = np.arange(lo.shape[1])
+    best = lo.argmax(axis=0)
+    lo_b, hi_b = lo[best, genes], hi[best, genes]
+    within = lo >= threshold * hi_b
+    sure = within | (hi < threshold * lo_b)
+    sure &= hi < lo_b
+    within[best, genes] = False
+    sure[best, genes] = True
+    finite = np.isfinite(lo).all(axis=0) & np.isfinite(hi).all(axis=0)
+    return best, within.T, sure.all(axis=0) & finite

@@ -10,13 +10,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_dataset
+from conftest import planted_dataset, write_dataset
 from genecluster import cli
 from genecluster.cli import ExperimentConfig, compare, main, run_experiment
-from genecluster.clustering import DEFAULT_FSRK_EPSILON, DEFAULT_ROUGH_EPSILON
-from genecluster.genefilter import DiscretizationSpec
-from genecluster.errors import ParameterError, PipelineError
-from genecluster.validity import ValidityReport
+from genecluster.clustering import (
+    DEFAULT_FSRK_EPSILON,
+    DEFAULT_ROUGH_EPSILON,
+    RoughParams,
+    fsrk_kmeans,
+    kmeans,
+    rough_kmeans,
+)
+from genecluster.fuzzysoft import fuzzify
+from genecluster.genefilter import DiscretizationSpec, rank_and_select
+from genecluster.errors import ParameterError, PipelineError, ValidityError
+from genecluster.ingest import parse_labels, parse_matrix
+from genecluster.validity import (
+    ValidityReport,
+    crispify,
+    db_index,
+    sum_squared_error,
+    xb_index,
+)
 
 
 def make_config(matrix_path, labels_path, out, **overrides):
@@ -324,6 +339,67 @@ class TestRunExperiment:
         with tracing.traced(cli, trace):
             run_experiment(config)
         trace.check_complete(config.algorithms)
+
+    def test_reports_equal_scoring_every_restart(self, tmp_path):
+        # rough restarts whose seeds fall in one planted group leave the other
+        # cluster without crisp genes and cannot be scored
+        values, _, classes = planted_dataset(n_genes=40)
+        matrix_path, labels_path = write_dataset(tmp_path, values, classes)
+        config = make_config(matrix_path, labels_path, tmp_path / "out",
+                             top_genes=None, restarts=8)
+        expected, skipped = every_restart_scored(config)
+        assert skipped["rough"] > 0 and skipped["rough"] < config.restarts
+        reports = run_experiment(config)
+        got = {r.algorithm: (r.db_index.hex(), r.xb_index.hex(), r.sse.hex(),
+                             r.params["restart"], r.iterations) for r in reports}
+        assert got == {a: row for a, (row, _) in expected.items()}
+        for algorithm, (_, text) in expected.items():
+            path = config.out / f"assignments-{algorithm}.csv"
+            assert path.read_text(encoding="utf-8") == text
+
+
+def every_restart_scored(config):
+    """Each algorithm's report row (DB, XB and SSE as hex, restart, iterations)
+    and assignment file text, taken from scoring every restart with all three
+    and keeping the lowest DB, the earliest on ties; plus the unscorable
+    restarts per algorithm."""
+    matrix = parse_matrix(config.matrix)
+    labels = parse_labels(config.labels, matrix)
+    _, filtered = rank_and_select(matrix, labels, DiscretizationSpec.sturges(matrix.n_samples),
+                                  matrix.n_genes)
+    data = {"kmeans": filtered.values, "rough": filtered.values,
+            "fsrk": fuzzify(filtered, config.fuzzify).values}
+    engines = {"kmeans": kmeans, "rough": rough_kmeans, "fsrk": fsrk_kmeans}
+    expected, skipped = {}, {}
+    for algorithm in config.algorithms:
+        X = data[algorithm]
+        rows = []
+        skipped[algorithm] = 0
+        for restart in range(config.restarts):
+            params = RoughParams(k=config.k, seed=config.seed + restart)
+            result = engines[algorithm](X, params)
+            if algorithm == "kmeans":
+                crisp = result.assignment
+                lower = upper = [set(np.flatnonzero(crisp == h)) for h in range(config.k)]
+            else:
+                crisp = crispify(result, X, "distance" if algorithm == "rough" else "similarity")
+                lower, upper = result.lower, result.upper
+            try:
+                db = db_index(X, crisp, result.centroids)
+                xb = xb_index(X, crisp, result.centroids)
+            except ValidityError:
+                skipped[algorithm] += 1
+                continue
+            sse = sum_squared_error(X, crisp, result.centroids)
+            text = "gene_id,cluster,membership_kind\n" + "".join(
+                f"{gene},{h},{'lower' if i in lower[h] else 'boundary'}\n"
+                for i, gene in enumerate(filtered.gene_ids)
+                for h in range(config.k) if i in upper[h])
+            rows.append(((db, restart), (db.hex(), xb.hex(), sse.hex(), restart,
+                                         result.iterations), text))
+        _, row, text = min(rows, key=lambda r: r[0])
+        expected[algorithm] = (row, text)
+    return expected, skipped
 
 
 # sha256 of the outputs of a seeded 300x20 run, all three engines at k=3 with

@@ -759,6 +759,84 @@ class TestFilteredRule:
         assert sum(pairs) > 0 and passes
 
 
+class TestEstimateBound:
+    """Each rule's estimate lies within its stated bound of the kernel's score
+    wherever it is finite, and a gene whose estimate is not is left undecided."""
+
+    @staticmethod
+    def memberships(rng, n, m):
+        """Fractional memberships with exact 0s and 1s, duplicate rows, and an
+        all-zero gene 3, plus centroids: an all-zero one, a duplicate row, blends."""
+        M = rng.random((n, m))
+        M[rng.random((n, m)) < 0.2] = 0.0
+        M[rng.random((n, m)) < 0.1] = 1.0
+        M[n // 2:n // 2 + 20] = M[:20]
+        M[3] = 0.0
+        Z = np.vstack([np.zeros(m), M[[0, n // 2, 7]],
+                       0.7 * M[8:10] + 0.3 * M[10:12], np.ones(m)])
+        return M, Z
+
+    @pytest.mark.parametrize("m", [1, 34, 96])
+    def test_estimates_within_their_bound_of_the_kernel(self, m):
+        rng = np.random.default_rng(m)
+        n = 2 * _block_rows(m) + 13  # two row blocks and a ragged tail
+        M, Z = self.memberships(rng, n, m)
+        X = 1e3 * rng.normal(size=(n, m)) + 5e3 * M
+        for rule, data, centroids, threshold in (
+                (clustering._SimilarityRule, M, Z, 0.95),
+                (clustering._DistanceRule, M, Z, 1.44),
+                (clustering._DistanceRule, X, X[[0, n // 2, 5, 6]], 1.44)):
+            with np.errstate(invalid="ignore"):
+                E, bound = rule(data).estimate(data, centroids)
+            kernel = rule.kernel(data, centroids).T
+            finite = np.isfinite(E)
+            assert np.all(np.abs(E - kernel)[finite] <= np.broadcast_to(bound, E.shape)[finite])
+            with np.errstate(invalid="ignore"):
+                _, _, decided = clustering._settle(*rule.interval(E, bound), threshold)
+            assert not decided[~finite.all(axis=0)].any()
+            if rule is clustering._SimilarityRule:
+                # an all-zero gene against the all-zero centroid: D = 0, S = 1
+                zero = centroids.sum(axis=1)[:, None] + data.sum(axis=1) == 0
+                assert np.array_equal(~finite, zero) and zero[0, 3]
+                assert (kernel[zero] == 1.0).all() and not decided[3]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 300])
+    @pytest.mark.parametrize("threshold", [0.5, 0.9, 1.0])
+    def test_settle_equals_the_argmax_oracle_on_ties(self, k, threshold):
+        # scores on a coarse grid tie often; widths of 0 give exact intervals
+        rng = np.random.default_rng(k)
+        lo = rng.integers(0, 6, size=(k, 2000)) / 4.0
+        hi = lo + rng.choice([0.0, 0.0, 1e-3, 0.5], size=lo.shape)
+        got, want = clustering._settle(lo, hi, threshold), oracles.settle_argmax(lo, hi, threshold)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[2], want[2])
+        decided = got[2]
+        assert np.array_equal(got[1][decided], want[1][decided])
+        if k > 1:  # tied maxima, and with few clusters genes of either kind
+            assert (lo == lo.max(axis=0)).sum(axis=0).max() > 1
+            assert k > 10 or decided.any() and not decided.all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_settle_never_decides_a_non_finite_interval(self, bad):
+        rng = np.random.default_rng(5)
+        lo = rng.random((4, 500))
+        hi = lo + 1e-9
+        hit = rng.random(lo.shape) < 0.05
+        for where in ("lo", "hi", "both"):
+            l, h = lo.copy(), hi.copy()
+            if where != "hi":
+                l[hit] = bad
+            if where != "lo":
+                h[hit] = bad
+            with np.errstate(invalid="ignore"):
+                best, within, decided = clustering._settle(l, h, 0.9)
+                _, want_within, want = oracles.settle_argmax(l, h, 0.9)
+            assert not decided[hit.any(axis=0)].any()
+            assert np.array_equal(decided, want) and decided.sum() > 300
+            assert np.array_equal(within[decided], want_within[decided])
+            assert ((best >= 0) & (best < 4)).all()
+
+
 class TestRoughParams:
     def test_weight_validation(self):
         with pytest.raises(ParameterError):

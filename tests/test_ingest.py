@@ -426,6 +426,29 @@ class TestBulkReadEqualsCellLoop:
         assert in_bulk(io.StringIO(buf.getvalue())) is not None
         assert np.array_equal(parse_matrix(io.StringIO(buf.getvalue())).values, values)
 
+    @pytest.mark.parametrize("text, error", [
+        ("gene_id\ts1\ts2\ng1\t1\tnan\n", (DataError, "row 1, column 2: non-finite value 'nan'")),
+        ("gene_id,s1\ng1,1\ng2,-inf\n", (DataError, "row 2, column 1: non-finite value '-inf'")),
+        ("gene_id\ts1\ng1\t1\ng1\t2\n", (ValidationError, "duplicate gene id 'g1'")),
+        ("s1,s1\ng1,1,2\n", (ValidationError, "duplicate sample id 's1'")),
+    ])
+    def test_values_or_ids_the_matrix_refuses_fall_to_the_loop(self, text, error):
+        assert outcome(in_bulk, io.StringIO(text)) is None
+        assert outcome(parse_matrix, io.StringIO(text)) == error
+
+    def test_bulk_read_checks_finiteness_once(self, monkeypatch):
+        calls = []
+
+        def isfinite(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        original = np.isfinite
+        monkeypatch.setattr(np, "isfinite", isfinite)
+        matrix = parse_matrix(io.StringIO("gene_id\ts1\ts2\ng1\t1\t2\ng2\t3\t4\n"))
+        assert matrix.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert len(calls) == 1
+
 
 def two_class_matrix():
     return parse_matrix(
