@@ -19,8 +19,9 @@ from genecluster.clustering import (
     sum_squared_error,
 )
 from genecluster.errors import DomainError, ParameterError, ShapeError, ValidationError
-from genecluster.fuzzysoft import similarity
-from genecluster.ingest import _block_rows
+from genecluster.fuzzysoft import fuzzify, similarity
+from genecluster.ingest import ExpressionMatrix, _block_rows
+from genecluster.validity import crispify, db_index, xb_index
 
 
 def assert_rough_axioms(lower, upper, n):
@@ -897,3 +898,80 @@ class TestNonFiniteInput:
             assign([[bad]], [[0.0], [1.0]], epsilon)
         with pytest.raises(DomainError):
             assign([[0.5]], [[bad], [1.0]], epsilon)
+
+
+class TestEpsilonOverflow:
+    """A distance-ratio epsilon so large that epsilon**2, or epsilon * d_best,
+    overflows. Gene 0 lies 1e-5 from centroid 0 and 1e150 from centroid 1,
+    gene 1 on centroid 0, gene 2 on centroid 1 and gene 3 1e149 from it."""
+
+    X = np.array([[1.0], [1.00001], [1e150], [0.9e150]])
+    Z = np.array([[1.00001], [1e150]])
+
+    @staticmethod
+    def one_pass(X, Z, epsilon):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sets = rough_assign(X, Z, epsilon)
+            result = rough_kmeans(X, RoughParams(k=2, epsilon=epsilon, max_iter=1),
+                                  initial_centroids=Z)
+        assert (result.lower, result.upper) == sets
+        return sets
+
+    def test_squared_threshold_overflow_takes_the_plain_rule(self):
+        # epsilon**2 is inf, so no estimate interval can stand in for the
+        # ratio test; 5e154 * 1e-5 < 1e150 keeps gene 0 crisp in cluster 0
+        lower, upper = self.one_pass(self.X, self.Z, 5e154)
+        assert lower == (frozenset({0, 1}), frozenset({2}))
+        assert upper == (frozenset({0, 1, 3}), frozenset({2, 3}))
+
+    def test_overflowing_product_passes_every_finite_distance(self):
+        # 1e160 * 1e149 is inf for gene 3, which every finite distance passes
+        lower, upper = self.one_pass(self.X, self.Z, 1e160)
+        assert lower == (frozenset({1}), frozenset({2}))
+        assert upper == (frozenset({0, 1, 3}), frozenset({0, 2, 3}))
+
+
+def bits(value):
+    """A result as nested tuples of Python values and array bytes, for exact comparison."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return tuple(bits(v) for v in value)
+    if hasattr(value, "__dataclass_fields__"):
+        return type(value).__name__, bits([getattr(value, f) for f in value.__dataclass_fields__])
+    return value
+
+
+class TestLabelledMatrixInput:
+    """Every public array entry point reads an ExpressionMatrix or a
+    MembershipMatrix as its ``.values``, bit for bit."""
+
+    @pytest.mark.parametrize("entry", [
+        "init_centroids", "kmeans", "rough_kmeans", "fsrk_kmeans", "rough_assign",
+        "fsrk_assign", "rough_centroids", "sum_squared_error", "db_index", "xb_index",
+        "crispify", "crispify-similarity",
+    ])
+    def test_same_bits_as_the_values(self, entry):
+        X, _ = modules(np.random.default_rng(5), 60, 5, 3)
+        expression = ExpressionMatrix([f"g{i}" for i in range(60)], [f"s{j}" for j in range(5)], X)
+        memberships = fuzzify(expression)
+        params, Z, a = RoughParams(k=3, seed=1), X[[0, 1, 2]], np.arange(60) % 3
+        rough = rough_kmeans(X, params)
+        call = {
+            "init_centroids": lambda D, M: init_centroids(D, 3, seed=1),
+            "kmeans": lambda D, M: kmeans(D, params),
+            "rough_kmeans": lambda D, M: rough_kmeans(D, params),
+            "fsrk_kmeans": lambda D, M: fsrk_kmeans(M, params),
+            "rough_assign": lambda D, M: rough_assign(D, Z, 1.2),
+            "fsrk_assign": lambda D, M: fsrk_assign(M, Z.clip(0, 1), 0.95),
+            "rough_centroids": lambda D, M: rough_centroids(D, rough.lower, rough.upper, 0.7, 0.3),
+            "sum_squared_error": lambda D, M: sum_squared_error(D, a, Z),
+            "db_index": lambda D, M: db_index(D, a, Z),
+            "xb_index": lambda D, M: xb_index(D, a, Z),
+            "crispify": lambda D, M: crispify(rough, D),
+            "crispify-similarity": lambda D, M: crispify(
+                replace(rough, centroids=rough.centroids.clip(0, 1)), M, metric="similarity"),
+        }[entry]
+        want = call(expression.values, memberships.values)
+        assert bits(call(expression, memberships)) == bits(want)

@@ -294,6 +294,10 @@ class TestQuotedIds:
             parse_matrix(io.StringIO(text))
         assert (err.value.row, err.value.column) == (1, 2)
 
+    def test_quoted_text_needs_a_one_character_delimiter(self):
+        with pytest.raises(ParseError, match="delimiter '::': quoted fields need a one-character"):
+            parse_matrix(io.StringIO('"g"::s1\nx::1\n'), delimiter="::")
+
 
 def outcome(read, source):
     """What reading ``source`` gives: ids and value bits, or the error's type and text."""
@@ -497,6 +501,11 @@ class TestParseLabels:
         m = ExpressionMatrix(("g1",), ("s\n1", "s2"), [[1.0, 2.0]])
         labels = parse_labels(io.StringIO('"s\n1",ALL\ns2,AML\n'), m)
         assert labels.labels == {"s\n1": "ALL", "s2": "AML"}
+
+    def test_quoted_text_needs_a_one_character_delimiter(self):
+        m = ExpressionMatrix(("g1",), ("s1", "s2"), [[1.0, 2.0]])
+        with pytest.raises(ParseError, match="delimiter '::': quoted fields need a one-character"):
+            parse_labels(io.StringIO('"s1"::ALL\ns2::AML\n'), m, delimiter="::")
 
 
 class TestClassLabelsType:
