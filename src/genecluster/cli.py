@@ -113,15 +113,15 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineError(name, str(exc)) from exc
 
 
-def _run_algorithm(algorithm, raw_values, fuzzy_values, params):
+def _run_algorithm(algorithm, filtered, fuzzy, params):
     """One clustering run: (crisp assignment, result, data scored)."""
     if algorithm == "kmeans":
-        result = kmeans(raw_values, params)
-        return result.assignment, result, raw_values
+        result = kmeans(filtered, params)
+        return result.assignment, result, filtered
     if algorithm == "rough":
-        result, scored, metric = rough_kmeans(raw_values, params), raw_values, "distance"
+        result, scored, metric = rough_kmeans(filtered, params), filtered, "distance"
     else:
-        result, scored, metric = fsrk_kmeans(fuzzy_values, params), fuzzy_values, "similarity"
+        result, scored, metric = fsrk_kmeans(fuzzy, params), fuzzy, "similarity"
     return crispify(result, scored, metric=metric), result, scored
 
 
@@ -183,8 +183,6 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
 
     reports: list[ValidityReport] = []
     assignment_files: dict[str, list[tuple]] = {}
-    raw = filtered.values
-    fuzzy_values = fuzzy.values if fuzzy is not None else None
     for algorithm in config.algorithms:
         log.info("stage cluster: %s, k=%d, %d restart(s)", algorithm, config.k, config.restarts)
         epsilon = None
@@ -194,7 +192,7 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
         for restart in range(config.restarts):
             run = replace(params, epsilon=epsilon, seed=config.seed + restart)
             crisp, result, scored = _stage(
-                "cluster", _run_algorithm, algorithm, raw, fuzzy_values, run
+                "cluster", _run_algorithm, algorithm, filtered, fuzzy, run
             )
             log.info("stage validate: %s restart %d", algorithm, restart)
             try:

@@ -30,8 +30,9 @@ set, are accepted; ``crispify`` alone refuses a gene in no set.
 A run whose centroids return bit for bit to those of an earlier pass is
 periodic from there on and can no longer converge. The engine then stops and
 returns the state that pass max_iter would end on (iterations = max_iter,
-converged false), equal bit for bit to running every pass. With a hook or an
-observer every pass still runs, so the hook sees each one.
+converged false), equal bit for bit to running every pass. With a hook every
+pass still runs, so the hook sees each one. An array argument may be a
+labelled matrix (``ExpressionMatrix``, ``MembershipMatrix``).
 
 Each pass first settles what it can from an estimate: every gene-centroid
 score is built approximately in a few batched BLAS calls (a squared distance
@@ -159,7 +160,7 @@ class RoughClustering:
 
 
 def _as_matrix(data) -> np.ndarray:
-    X = np.asarray(data, dtype=float)
+    X = np.asarray(getattr(data, "values", data), dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     if X.ndim != 2:
@@ -257,6 +258,16 @@ def _ratio_masks(best, within) -> tuple[np.ndarray, np.ndarray]:
     return lower, within
 
 
+def _ratio_test(near, best, epsilon) -> tuple[np.ndarray, np.ndarray]:
+    """The plain ratio test on (n, k) scores, larger meaning nearer: cluster h
+    joins a gene's boundary when near_h >= epsilon * near_best and near_h <
+    near_best. An epsilon * near_best that overflows passes every finite score."""
+    near_best = near[np.arange(near.shape[0]), best][:, None]
+    with np.errstate(over="ignore"):
+        threshold = epsilon * near_best
+    return _ratio_masks(best, (near >= threshold) & (near < near_best))
+
+
 def _settle(lo, hi, threshold) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best cluster, the (n, k) clusters that pass the ratio test, and which genes are sure.
 
@@ -350,7 +361,8 @@ class _DistanceRule(_FilteredRule):
 
     The estimate is ||x||^2 + ||z||^2 - 2 x.z, one GEMM a pass, with ||x||^2
     taken once per run. Its interval is on -d^2, so the ratio test reads
-    -d_h^2 >= epsilon^2 * -d_best^2.
+    -d_h^2 >= epsilon^2 * -d_best^2; the plain one on -d, which keeps every
+    bit of d_h <= epsilon * d_best, as epsilon * -d = -(epsilon * d).
     """
 
     def __init__(self, X):
@@ -365,11 +377,7 @@ class _DistanceRule(_FilteredRule):
 
     @staticmethod
     def masks(d2, epsilon):
-        rows = np.arange(d2.shape[0])
-        best = d2.argmin(axis=1)
-        d = np.sqrt(d2)
-        d_best = d[rows, best][:, None]
-        return _ratio_masks(best, (d <= epsilon * d_best) & (d > d_best))
+        return _ratio_test(-np.sqrt(d2), d2.argmin(axis=1), epsilon)
 
     @staticmethod
     def threshold(epsilon):
@@ -419,10 +427,7 @@ class _SimilarityRule(_FilteredRule):
 
     @staticmethod
     def masks(S, epsilon):
-        rows = np.arange(S.shape[0])
-        best = S.argmax(axis=1)
-        s_best = S[rows, best][:, None]
-        return _ratio_masks(best, (S >= epsilon * s_best) & (S < s_best))
+        return _ratio_test(S, S.argmax(axis=1), epsilon)
 
     @staticmethod
     def threshold(epsilon):
@@ -510,17 +515,18 @@ def _update_centroids(X, lower, upper, w_lower, w_upper, previous) -> np.ndarray
     return out
 
 
-def _engine(X, params, rule, epsilon, initial_centroids, observe):
+def _engine(data, params, rule, epsilon, initial_centroids, on_iteration):
     """The assign/update loop of all three engines; ``rule(X)``, made once per
     run, gives (lower, upper) for ``(X, Z, epsilon)`` each pass, and
-    ``observe(iteration, lower, upper, Z)`` sees them every pass.
+    ``on_iteration(iteration, lower sets, upper sets, Z)`` sees them as sets.
 
     A pass maps centroids to centroids through X and the fixed parameters
     only. So once pass t ends on the centroids of an earlier pass s (pass 0
     being the initial centroids), passes s+1..t repeat with period t - s and
-    none of them converges. Without ``observe`` the loop then stops and
+    none of them converges. Without ``on_iteration`` the loop then stops and
     returns the state pass ``max_iter`` would end on.
     """
+    X = _as_matrix(data)
     _check_finite(X, "clustering input")
     _check_k(params.k, X.shape[0])
     if initial_centroids is None:
@@ -535,8 +541,8 @@ def _engine(X, params, rule, epsilon, initial_centroids, observe):
     seen = {centroids.tobytes(): 0}
     for iterations in range(1, params.max_iter + 1):
         lower, upper = assign(X, centroids, epsilon)
-        if observe is not None:
-            observe(iterations, lower, upper, centroids)
+        if on_iteration is not None:
+            on_iteration(iterations, *_to_sets(lower, upper), centroids)
         had_empty = had_empty or not upper.any(axis=0).all()
         new = _update_centroids(X, lower, upper, params.w_lower, params.w_upper, centroids)
         shift = float(np.abs(new - centroids).max())
@@ -544,7 +550,7 @@ def _engine(X, params, rule, epsilon, initial_centroids, observe):
         if shift <= params.tol:
             converged = True
             break
-        if observe is None:
+        if on_iteration is None:
             s = seen.setdefault(centroids.tobytes(), iterations)
             if s < iterations:
                 last = s + 1 + (params.max_iter - s - 1) % (iterations - s)
@@ -563,23 +569,11 @@ def kmeans(data, params: RoughParams, initial_centroids=None) -> CrispClustering
     epsilon 1, bit for bit, so its passes can be watched through that
     engine's ``on_iteration`` hook.
     """
-    X = _as_matrix(data)
     assignment, _, centroids, iterations, converged, _ = _engine(
-        X, params, _DistanceRule, 1.0, initial_centroids, None
+        data, params, _DistanceRule, 1.0, initial_centroids, None
     )
     return CrispClustering(assignment, centroids, iterations, converged,
-                           sum_squared_error(X, assignment, centroids))
-
-
-def _rough_engine(X, params, rule, epsilon, initial_centroids, on_iteration):
-    observe = None
-    if on_iteration is not None:
-        def observe(it, lower, upper, Z):
-            on_iteration(it, *_to_sets(lower, upper), Z)
-    lower, upper, centroids, iterations, converged, had_empty = _engine(
-        X, params, rule, epsilon, initial_centroids, observe
-    )
-    return RoughClustering(*_to_sets(lower, upper), centroids, iterations, converged, had_empty)
+                           sum_squared_error(data, assignment, centroids))
 
 
 def rough_assign(data, centroids, epsilon: float) -> tuple[tuple, tuple]:
@@ -625,8 +619,9 @@ def rough_kmeans(data, params: RoughParams, initial_centroids=None,
     """
     epsilon = _distance_epsilon(
         DEFAULT_ROUGH_EPSILON if params.epsilon is None else params.epsilon)
-    return _rough_engine(_as_matrix(data), params, _DistanceRule, epsilon,
-                         initial_centroids, on_iteration)
+    lower, upper, *run = _engine(data, params, _DistanceRule, epsilon,
+                                 initial_centroids, on_iteration)
+    return RoughClustering(*_to_sets(lower, upper), *run)
 
 
 def fsrk_assign(memberships, centroids, epsilon: float) -> tuple[tuple, tuple]:
@@ -648,10 +643,12 @@ def fsrk_kmeans(memberships, params: RoughParams, initial_centroids=None,
     Input rows must already be memberships in [0, 1]; centroids then stay in
     [0, 1] automatically, being convex combinations of memberships.
     """
-    M = _as_matrix(getattr(memberships, "values", memberships))
+    M = _as_matrix(memberships)
     _check_unit_interval(M, "fsrk input must be fuzzified")
     if initial_centroids is not None:
-        _check_unit_interval(np.asarray(initial_centroids, dtype=float), "fsrk centroids")
+        _check_unit_interval(_as_matrix(initial_centroids), "fsrk centroids")
     epsilon = _similarity_epsilon(
         DEFAULT_FSRK_EPSILON if params.epsilon is None else params.epsilon)
-    return _rough_engine(M, params, _SimilarityRule, epsilon, initial_centroids, on_iteration)
+    lower, upper, *run = _engine(M, params, _SimilarityRule, epsilon,
+                                 initial_centroids, on_iteration)
+    return RoughClustering(*_to_sets(lower, upper), *run)
