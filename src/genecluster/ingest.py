@@ -119,10 +119,13 @@ def _records(lines: list[str], delim: str, quoted: bool) -> Iterator[list[str]]:
     No record is shorter than a line, so the line count bounds the record
     count. Quoted text is split by the ``csv`` module, so a quoted field may
     hold the delimiter, a double quote or a line break; a quote left open is
-    a ParseError naming the line it opens on. Other lines are split on the
-    delimiter.
+    a ParseError naming the line it opens on, and a delimiter longer than
+    one character, which the ``csv`` module cannot split on, is a ParseError
+    too. Other lines are split on the delimiter.
     """
     if quoted:
+        if len(delim) != 1:
+            raise ParseError(f"delimiter {delim!r}: quoted fields need a one-character delimiter")
         return _csv_records(lines, delim)
     return (line.split(delim) for line in lines)
 
