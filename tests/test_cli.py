@@ -3,6 +3,8 @@ import hashlib
 import json
 import logging
 import os
+import subprocess
+import sys
 
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -213,6 +215,25 @@ class TestRunExperiment:
         assert {r["algorithm"]: r["params"]["epsilon"] for r in rows} == {
             "kmeans": None, "rough": DEFAULT_ROUGH_EPSILON, "fsrk": DEFAULT_FSRK_EPSILON,
         }
+
+    def test_configured_bins_are_echoed(self, small_dataset, tmp_path):
+        matrix_path, labels_path, _ = small_dataset
+        out = tmp_path / "out"
+        run_experiment(make_config(matrix_path, labels_path, out, bins=3))
+        rows = json.loads((out / "report.json").read_text())
+        assert [r["params"]["bins"] for r in rows] == [3, 3, 3]
+
+    def test_no_scorable_restart_is_a_validate_error(self, tmp_path, caplog):
+        # all 40 planted genes, rough from seed 0: crispify leaves cluster 1 empty
+        values, _, classes = planted_dataset(n_genes=40)
+        matrix_path, labels_path = write_dataset(tmp_path, values, classes)
+        config = make_config(matrix_path, labels_path, tmp_path / "out", top_genes=None,
+                             algorithms=("rough",), restarts=1)
+        with pytest.raises(PipelineError) as err:
+            run_experiment(config)
+        assert str(err.value) == "[validate] no scorable rough clustering in 1 restart(s)"
+        assert "rough restart 0 not scorable: cluster 1 is empty" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_ids_with_delimiters_stay_one_field(self, small_dataset, tmp_path):
         matrix_path, labels_path, _ = small_dataset
@@ -565,6 +586,18 @@ class TestMain:
         lines = (tmp_path / "from-flag" / "report.csv").read_text().splitlines()
         assert len(lines) == 2  # flag narrowed the algorithm list to kmeans
 
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "none.conf"
+        assert main(["--config", str(missing)]) == 1
+        assert capsys.readouterr().err == f"error: [startup] config file not found: {missing}\n"
+
+    def test_config_line_without_equals_sign(self, tmp_path, capsys):
+        config_path = tmp_path / "run.conf"
+        config_path.write_text("# a comment\nk 2\n")
+        assert main(["--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [startup] {config_path}:2: expected key = value\n")
+
     def test_missing_required_keys(self, capsys):
         assert main([]) == 1
         assert "--matrix is required" in capsys.readouterr().err
@@ -620,3 +653,38 @@ class TestMain:
     def test_every_flag_is_a_config_field(self):
         dests = set(vars(cli._build_parser().parse_args([]))) - {"config", "algorithm"}
         assert dests <= {f.name for f in fields(ExperimentConfig)}
+
+
+class TestEntryPoint:
+    """``python -m genecluster`` in a fresh interpreter, logging set up by ``main``."""
+
+    @staticmethod
+    def run(cwd, *args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        return subprocess.run([sys.executable, "-m", "genecluster", *args], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_run_writes_every_report_and_logs_its_stages(self, small_dataset, tmp_path):
+        matrix_path, labels_path, _ = small_dataset
+        out = tmp_path / "out"
+        done = self.run(tmp_path, "--matrix", str(matrix_path), "--labels", str(labels_path),
+                        "--out", str(out), "--top-genes", "8", "--restarts", "2")
+        assert done.returncode == 0, done.stderr
+        assert sorted(p.name for p in out.iterdir()) == [
+            "assignments-fsrk.csv", "assignments-kmeans.csv", "assignments-rough.csv",
+            "ranking.csv", "report.csv", "report.json"]
+        stages = {line.split()[2].rstrip(":") for line in done.stderr.splitlines()
+                  if line.startswith("INFO stage ")}
+        assert stages == {"ingest", "filter", "fuzzify", "cluster", "validate", "report"}
+        rows = [line.split()[:2] for line in done.stdout.splitlines()[1:]]
+        assert sorted(rows) == [["demo", "fsrk"], ["demo", "kmeans"], ["demo", "rough"]]
+
+    def test_bad_setting_exits_1_with_a_staged_error(self, small_dataset, tmp_path):
+        matrix_path, labels_path, _ = small_dataset
+        done = self.run(tmp_path, "--matrix", str(matrix_path), "--labels", str(labels_path),
+                        "--out", str(tmp_path / "out"), "--k", "0")
+        assert done.returncode == 1
+        assert done.stderr == "error: [startup] k must be >= 1, got 0\n"
+        assert done.stdout == "" and not (tmp_path / "out").exists()

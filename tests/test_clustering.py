@@ -100,6 +100,15 @@ class TestInitCentroids:
         with pytest.raises(ParameterError, match=r"^seed must be an integer, got 1.5$"):
             init_centroids(np.zeros((4, 2)), 2, seed=1.5)
 
+    def test_one_dimensional_data_is_one_column(self):
+        picked = init_centroids([0.0, 1.0, 2.0, 3.0], 2, seed=0)
+        assert picked.shape == (2, 1)
+        assert np.array_equal(picked, init_centroids([[0.0], [1.0], [2.0], [3.0]], 2, seed=0))
+
+    def test_three_dimensional_data_rejected(self):
+        with pytest.raises(ShapeError, match=r"^expected a 2-D data matrix, got shape \(2, 2, 2\)$"):
+            init_centroids(np.zeros((2, 2, 2)), 2, seed=0)
+
 
 class TestKMeans:
     def test_two_separated_pairs(self):

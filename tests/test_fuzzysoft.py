@@ -114,6 +114,11 @@ def matrix_from(values):
 
 
 class TestFuzzify:
+    def test_no_genes(self):
+        out = fuzzify(ExpressionMatrix((), ("s1", "s2"), np.zeros((0, 2))), "s")
+        assert isinstance(out, MembershipMatrix)
+        assert (out.sample_ids, out.values.shape) == (("s1", "s2"), (0, 2))
+
     def test_worked_column(self):
         out = fuzzify(matrix_from([[0.0], [2.0], [4.0]]), "s")
         assert out.values[:, 0].tolist() == [0.0, 0.5, 1.0]

@@ -9,6 +9,7 @@ from genecluster.errors import (
     DegenerateLabelsError,
     InvalidDistributionError,
     ParameterError,
+    ShapeError,
     ValidationError,
 )
 from genecluster.genefilter import (
@@ -44,6 +45,12 @@ class TestEntropy:
         with pytest.raises(InvalidDistributionError):
             entropy((0.5, 0.4))
 
+    @pytest.mark.parametrize("distribution", [(), [[0.5, 0.5]]])
+    def test_empty_or_two_dimensional_rejected(self, distribution):
+        with pytest.raises(InvalidDistributionError,
+                           match=r"^expected a non-empty 1-D probability vector$"):
+            entropy(distribution)
+
     def test_sum_within_tolerance_accepted(self):
         entropy((0.5, 0.5 + 5e-10))
 
@@ -76,6 +83,14 @@ class TestBinIndices:
 
     def test_constant_row_single_bin(self):
         assert bin_indices([5.0, 5.0, 5.0], 4).tolist() == [0, 0, 0]
+
+    def test_empty_row(self):
+        codes = bin_indices([], 3)
+        assert codes.dtype == np.int64 and codes.shape == (0,)
+
+    def test_two_dimensional_row_rejected(self):
+        with pytest.raises(ShapeError, match=r"^bin_indices expects a 1-D vector$"):
+            bin_indices([[1.0, 2.0]], 2)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -113,6 +128,20 @@ class TestInformationGain:
     def test_single_class_propagates_degenerate_error(self):
         with pytest.raises(DegenerateLabelsError):
             information_gain([1.0, 2.0], ["A", "A"], DiscretizationSpec(2))
+
+    def test_row_and_labels_of_different_lengths_rejected(self):
+        with pytest.raises(ShapeError, match=r"^gene row of length \(3,\) vs \(2,\) labels$"):
+            information_gain([1.0, 2.0, 3.0], ["A", "B"], DiscretizationSpec(2))
+
+    @pytest.mark.parametrize("x, y, shapes", [
+        ([0, 1], [0, 1, 1], "(2,) and (3,)"),
+        ([], [], "(0,) and (0,)"),
+        ([[0, 1]], [[0, 1]], "(1, 2) and (1, 2)"),
+    ])
+    def test_discrete_sequences_must_align(self, x, y, shapes):
+        with pytest.raises(ShapeError) as err:
+            discrete_information_gain(x, y)
+        assert str(err.value) == f"aligned non-empty 1-D sequences required, got {shapes}"
 
     def test_bounded_by_marginal_entropies(self):
         rng = np.random.default_rng(7)
@@ -291,6 +320,11 @@ class TestGeneRankingType:
     def test_scores_must_be_non_increasing_along_order(self):
         with pytest.raises(Exception):
             GeneRanking(np.array([0.1, 0.9]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_scores_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValidationError, match=r"^scores must be finite and non-negative$"):
+            GeneRanking(np.array([1.0, bad]), np.array([0, 1]))
 
 
 class TestDiscretizationSpec:

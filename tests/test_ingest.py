@@ -502,6 +502,15 @@ class TestParseLabels:
         labels = parse_labels(io.StringIO('"s\n1",ALL\ns2,AML\n'), m)
         assert labels.labels == {"s\n1": "ALL", "s2": "AML"}
 
+    def test_empty_class_tag(self):
+        with pytest.raises(DataError, match=r"^row 1: empty class tag$") as err:
+            parse_labels(io.StringIO("s1\t\ns2\tAML\n"), two_class_matrix())
+        assert (err.value.row, err.value.column) == (1, 2)
+
+    def test_empty_label_file(self):
+        with pytest.raises(ParseError, match=r"^empty label file$"):
+            parse_labels(io.StringIO("\n\n"), two_class_matrix())
+
     def test_quoted_text_needs_a_one_character_delimiter(self):
         m = ExpressionMatrix(("g1",), ("s1", "s2"), [[1.0, 2.0]])
         with pytest.raises(ParseError, match="delimiter '::': quoted fields need a one-character"):
