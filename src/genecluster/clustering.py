@@ -518,7 +518,8 @@ def _update_centroids(X, lower, upper, w_lower, w_upper, previous) -> np.ndarray
 def _engine(data, params, rule, epsilon, initial_centroids, on_iteration):
     """The assign/update loop of all three engines; ``rule(X)``, made once per
     run, gives (lower, upper) for ``(X, Z, epsilon)`` each pass, and
-    ``on_iteration(iteration, lower sets, upper sets, Z)`` sees them as sets.
+    ``on_iteration(iteration, lower, upper, Z)``, when given, sees them every
+    pass as tuples of frozensets.
 
     A pass maps centroids to centroids through X and the fixed parameters
     only. So once pass t ends on the centroids of an earlier pass s (pass 0
