@@ -119,6 +119,10 @@ class TestFuzzify:
         assert isinstance(out, MembershipMatrix)
         assert (out.sample_ids, out.values.shape) == (("s1", "s2"), (0, 2))
 
+    def test_plain_array_rejected(self):
+        with pytest.raises(ValidationError, match=r"^fuzzify: expected an ExpressionMatrix or MembershipMatrix, got ndarray$"):
+            fuzzify(np.zeros((2, 3)))
+
     def test_worked_column(self):
         out = fuzzify(matrix_from([[0.0], [2.0], [4.0]]), "s")
         assert out.values[:, 0].tolist() == [0.0, 0.5, 1.0]
@@ -225,6 +229,12 @@ class TestSimilarity:
     def test_zero_vectors_are_identical(self):
         assert similarity([0.0, 0.0], [0.0, 0.0]) == 1.0
 
+    def test_membership_matrix_reads_as_its_values(self):
+        x = MembershipMatrix(("g0",), ("a", "b", "c"), [[0.2, 0.4, 0.6]])
+        z = [0.4, 0.4, 0.8]
+        got = similarity(x, z).hex()
+        assert got == similarity(x.values, z).hex() == similarity(x.values[0], z).hex()
+
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             similarity([0.1, 0.2], [0.1])
@@ -273,6 +283,13 @@ class TestSimilarityProfile:
         )
         assert profile[0] == pytest.approx(0.857143, abs=1e-6)
         assert profile[1] == 1.0
+
+    def test_membership_matrix_of_centroids_reads_as_its_values(self):
+        centroids = MembershipMatrix(("c0", "c1"), ("a", "b", "c"),
+                                     [[0.4, 0.4, 0.8], [0.1, 0.0, 0.3]])
+        gene = [0.2, 0.4, 0.6]
+        got = similarity_profile(gene, centroids)
+        assert got.tobytes() == similarity_profile(gene, centroids.values).tobytes()
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):

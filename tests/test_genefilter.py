@@ -267,6 +267,11 @@ class TestRankAndSelect:
         with pytest.raises(ValidationError, match="labels do not cover the matrix's samples"):
             rank_and_select(matrix, labels, DiscretizationSpec(2), 1)
 
+    def test_plain_array_rejected(self):
+        labels = build_labels(["A", "B", "A", "B"])
+        with pytest.raises(ValidationError, match=r"^rank_and_select: expected an ExpressionMatrix or MembershipMatrix, got ndarray$"):
+            rank_and_select(np.ones((3, 4)), labels, DiscretizationSpec(2), 1)
+
     def test_filtered_dimensions(self):
         rng = np.random.default_rng(6)
         matrix = build_matrix(rng.normal(size=(50, 8)))

@@ -169,6 +169,10 @@ class TestRoundTrip:
             write_matrix(m, tmp_path / "m.tsv")
         assert list(tmp_path.iterdir()) == []
 
+    def test_plain_array_rejected(self):
+        with pytest.raises(ValidationError, match=r"^write_matrix: expected an ExpressionMatrix or MembershipMatrix, got ndarray$"):
+            write_matrix(np.ones((2, 2)), io.StringIO())
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.integers(min_value=1, max_value=5),

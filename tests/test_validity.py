@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from genecluster.clustering import RoughClustering
+from genecluster.clustering import RoughClustering, RoughParams, kmeans
 from genecluster.errors import (
     DegenerateClusteringError,
     DomainError,
@@ -11,6 +11,8 @@ from genecluster.errors import (
     ValidationError,
     ValidityError,
 )
+from genecluster.fuzzysoft import MembershipMatrix
+from genecluster.ingest import ExpressionMatrix
 from genecluster.validity import (
     ValidityReport,
     crispify,
@@ -141,6 +143,33 @@ class TestSumSquaredError:
         data = np.arange(10.0).reshape(5, 2)
         with pytest.raises(ShapeError):
             sum_squared_error(data, assignment, data[:2])
+
+
+class TestScoreInput:
+    @pytest.mark.parametrize("score", [db_index, xb_index, sum_squared_error])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["data", "centroids"])
+    def test_non_finite_data_or_centroids_rejected(self, score, bad, where):
+        data, a, z = pairs_instance()
+        (data if where == "data" else z)[1, 0] = bad
+        with pytest.raises(DomainError, match=f"^{where} must be finite$"):
+            score(data, a, z)
+
+    def test_every_input_form_gives_the_same_bits_and_the_oracles_value(self):
+        values = np.random.default_rng(23).uniform(size=(40, 4))
+        genes, samples = [f"g{i}" for i in range(40)], [f"s{j}" for j in range(4)]
+        result = kmeans(values, RoughParams(k=3, seed=2))
+        a, z = result.assignment, result.centroids
+        data_forms = [values, ExpressionMatrix(genes, samples, values),
+                      MembershipMatrix(genes, samples, values)]
+        centroid_forms = [z, MembershipMatrix(("c0", "c1", "c2"), samples, z)]
+        oracle = {db_index: oracles.db_reference, xb_index: oracles.xb_reference}
+        for score in (db_index, xb_index, sum_squared_error):
+            got = {score(X, a, Z).hex() for X in data_forms for Z in centroid_forms}
+            assert len(got) == 1
+            if score in oracle:
+                want = oracle[score](values.tolist(), a.tolist(), z.tolist())
+                assert float.fromhex(got.pop()) == pytest.approx(want, abs=1e-12)
 
 
 class TestCrispify:
