@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, ShapeError, ValidationError, _check_integer
 from .fuzzysoft import _similarities
-from .ingest import _tiles
+from .ingest import _as_matrix, _tiles
 
 __all__ = [
     "RoughParams",
@@ -159,51 +159,36 @@ class RoughClustering:
     had_empty_cluster: bool = False
 
 
-def _as_matrix(data) -> np.ndarray:
-    X = np.asarray(getattr(data, "values", data), dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, 1)
-    if X.ndim != 2:
-        raise ShapeError(f"expected a 2-D data matrix, got shape {X.shape}")
-    return X
-
-
-def _as_pair(data, centroids) -> tuple[np.ndarray, np.ndarray]:
-    X = _as_matrix(data)
-    Z = _as_matrix(centroids)
-    if Z.shape[1] != X.shape[1]:
-        raise ShapeError(f"centroid width {Z.shape[1]} != data width {X.shape[1]}")
-    return X, Z
-
-
 def _check_finite(A, what: str):
     if A.size and not np.isfinite(A).all():
         raise DomainError(f"{what} must be finite")
 
 
 def _as_finite_pair(data, centroids) -> tuple[np.ndarray, np.ndarray]:
-    """Data and centroids for a rule that picks clusters: NaN or inf would pick one silently."""
-    X, Z = _as_pair(data, centroids)
+    """Data and centroids for a rule or a score: NaN or inf would pick a cluster silently."""
+    X, Z = _as_matrix(data), _as_matrix(centroids)
+    if Z.shape[1] != X.shape[1]:
+        raise ShapeError(f"centroid width {Z.shape[1]} != data width {X.shape[1]}")
     _check_finite(X, "data")
     _check_finite(Z, "centroids")
     return X, Z
 
 
-def _as_assignment(assignment, n, k) -> np.ndarray:
-    """One cluster index in 0..k-1 per row of an n-row matrix, as int64."""
+def _residuals(data, assignment, centroids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, Z, (X - Z[a])**2): the squared residuals every score sums, with a
+    one cluster index in 0..k-1 per row of X, as int64."""
+    X, Z = _as_finite_pair(data, centroids)
     a = np.asarray(assignment, dtype=np.int64)
-    if a.shape != (n,):
-        raise ShapeError(f"assignment of length {a.shape} vs {n} rows")
-    if a.size and (a.min() < 0 or a.max() >= k):
-        raise ShapeError(f"assignment values must lie in 0..{k - 1}")
-    return a
+    if a.shape != (X.shape[0],):
+        raise ShapeError(f"assignment of length {a.shape} vs {X.shape[0]} rows")
+    if a.size and (a.min() < 0 or a.max() >= len(Z)):
+        raise ShapeError(f"assignment values must lie in 0..{len(Z) - 1}")
+    return a, Z, (X - Z[a]) ** 2
 
 
 def sum_squared_error(data, assignment, centroids) -> float:
     """Total squared Euclidean distance of each row to its assigned centroid."""
-    X, Z = _as_pair(data, centroids)
-    a = _as_assignment(assignment, X.shape[0], Z.shape[0])
-    return float(((X - Z[a]) ** 2).sum())
+    return float(_residuals(data, assignment, centroids)[2].sum())
 
 
 def _check_k(k: int, n: int):

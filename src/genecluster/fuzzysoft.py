@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError, ValidationError
-from .ingest import LabelledMatrix, _tiles
+from .ingest import LabelledMatrix, _as_matrix, _labelled, _tiles
 
 __all__ = [
     "MembershipShape",
@@ -95,7 +95,7 @@ def fuzzify(matrix, kind: str = "s") -> MembershipMatrix:
     z-shaped run mirrors that. Constant columns map to all-ones.
     """
     _check_kind("kind", kind)
-    vals = matrix.values
+    vals = _labelled(matrix, "fuzzify").values
     if vals.size == 0:
         return MembershipMatrix(matrix.gene_ids, matrix.sample_ids, vals.copy())
     out = _spline(vals, vals.min(axis=0), vals.max(axis=0), kind)
@@ -118,17 +118,22 @@ def _similarities(X, Z) -> np.ndarray:
     return S
 
 
+def _as_row(vector) -> np.ndarray:
+    """A vector argument (1-D, one row or one column) as a (1, m) row."""
+    x = _as_matrix(vector)
+    if 1 not in x.shape:
+        raise ShapeError(f"expected one row or one column, got shape {x.shape}")
+    return x.reshape(1, -1)
+
+
 def similarity(x, z) -> float:
     """Soft-set similarity of two equal-length membership vectors."""
-    return float(similarity_profile(x, np.asarray(z, dtype=float)[None])[0])
+    return float(similarity_profile(x, _as_row(z))[0])
 
 
 def similarity_profile(gene, centroids) -> np.ndarray:
     """Similarity of one membership vector against each of k centroid rows."""
-    gene = np.asarray(gene, dtype=float)
-    centroids = np.asarray(centroids, dtype=float)
-    if gene.ndim != 1 or centroids.ndim != 2 or centroids.shape[1] != gene.shape[0]:
-        raise ShapeError(
-            f"centroid rows of the gene's length required, got {centroids.shape} for {gene.shape}"
-        )
-    return _similarities(gene[None, :], centroids)[0]
+    x, Z = _as_row(gene), _as_matrix(centroids)
+    if Z.shape[1] != x.shape[1]:
+        raise ShapeError(f"centroid rows of length {x.shape[1]} required, got {Z.shape}")
+    return _similarities(x, Z)[0]

@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
     _check_integer,
 )
-from .ingest import ClassLabels, ExpressionMatrix, _block_rows, _write_csv
+from .ingest import ClassLabels, ExpressionMatrix, _block_rows, _labelled, _write_csv
 
 __all__ = [
     "DiscretizationSpec",
@@ -253,10 +253,10 @@ def rank_and_select(
 
     The returned sub-matrix holds exactly the top_n genes by descending IG
     (exact ties by original index), in their original relative order; the
-    sample axis is untouched. ClassLabels made for other samples, or for the
-    matrix's samples in another order, raise ValidationError.
+    sample axis is untouched. ClassLabels made for other samples or in
+    another sample order, and a matrix without ids, raise ValidationError.
     """
-    n = matrix.n_genes
+    n = _labelled(matrix, "rank_and_select").n_genes
     _check_integer("top_n", top_n, 1)
     if top_n > n:
         raise ParameterError(f"top_n must be <= {n} genes, got {top_n}")

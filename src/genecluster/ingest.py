@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DegenerateLabelsError, ParseError, ValidationError
+from .errors import DataError, DegenerateLabelsError, ParseError, ShapeError, ValidationError
 
 __all__ = [
     "ExpressionMatrix",
@@ -205,6 +205,24 @@ class LabelledMatrix:
         return len(self.sample_ids)
 
 
+def _as_matrix(data) -> np.ndarray:
+    """Any array argument as 2-D floats; a labelled matrix gives its values bit for bit."""
+    X = np.asarray(getattr(data, "values", data), dtype=float)
+    if X.ndim == 1:
+        X = X.reshape(-1, 1)
+    if X.ndim != 2:
+        raise ShapeError(f"expected a 2-D data matrix, got shape {X.shape}")
+    return X
+
+
+def _labelled(matrix, caller: str) -> LabelledMatrix:
+    """``matrix`` for an argument that needs gene and sample ids, or ValidationError."""
+    if not isinstance(matrix, LabelledMatrix):
+        raise ValidationError(f"{caller}: expected an ExpressionMatrix or MembershipMatrix, "
+                              f"got {type(matrix).__name__}")
+    return matrix
+
+
 @dataclass(frozen=True, eq=False)
 class ExpressionMatrix(LabelledMatrix):
     """An n-genes by m-samples matrix of real expression levels.
@@ -365,7 +383,7 @@ def parse_labels(source, matrix: ExpressionMatrix, delimiter: str | None = None)
     Every matrix sample must receive exactly one label, no label may name an
     unknown sample, and at least two distinct classes must be present.
     """
-    known = set(matrix.sample_ids)
+    known = set(_labelled(matrix, "parse_labels").sample_ids)
     mapping: dict[str, str] = {}
     for r, record in enumerate(_records(*_read_lines(source, delimiter)), start=1):
         fields = [f.strip() for f in record]
@@ -435,11 +453,12 @@ def write_matrix(matrix, dest, delimiter: str = "\t") -> None:
     """Write a matrix in the same delimited layout :func:`parse_matrix` reads.
 
     Values are formatted with shortest round-trip ``repr``, so a written file
-    parses back bit-identically. Works for any object exposing ``gene_ids``,
-    ``sample_ids``, and ``values`` (membership matrices included). An id
-    holding the delimiter, a double quote or a line break is written quoted
-    and read back as it was.
+    parses back bit-identically. ``matrix`` is an ExpressionMatrix or a
+    MembershipMatrix; anything else raises ValidationError. An id holding
+    the delimiter, a double quote or a line break is written quoted and read
+    back as it was.
     """
+    _labelled(matrix, "write_matrix")
     rows = (
         (gid, *(repr(float(v)) for v in row)) for gid, row in zip(matrix.gene_ids, matrix.values)
     )

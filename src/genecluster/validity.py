@@ -24,9 +24,8 @@ import numpy as np
 
 from .clustering import (
     RoughClustering,
-    _as_assignment,
     _as_finite_pair,
-    _as_pair,
+    _residuals,
     _sq_distances,
     _to_masks,
     sum_squared_error,
@@ -60,47 +59,38 @@ class ValidityReport:
         return asdict(self)
 
 
-def _check_scorable(data, assignment, centroids):
-    X, Z = _as_pair(data, centroids)
+def _scorable(data, assignment, centroids):
+    """What both indices take from a clustering they are defined on: the
+    assignment, the squared residuals of ``clustering._residuals``, and the
+    pairwise squared centroid distances with +inf on the diagonal."""
+    a, Z, D = _residuals(data, assignment, centroids)
     k = Z.shape[0]
-    a = _as_assignment(assignment, X.shape[0], k)
     if k < 2:
         raise ValidityError(f"validity indices need k >= 2 clusters, got {k}")
     counts = np.bincount(a, minlength=k)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise ValidityError(f"cluster {int(empty[0])} is empty")
-    return X, a, Z
-
-
-def _centroid_gaps_squared(Z) -> np.ndarray:
-    """Pairwise squared centroid distances with +inf on the diagonal."""
     gaps = _sq_distances(Z, Z)
     np.fill_diagonal(gaps, np.inf)
     if float(gaps.min()) == 0.0:
         raise DegenerateClusteringError("coincident centroids")
-    return gaps
+    return a, D, gaps
 
 
 def db_index(data, assignment, centroids) -> float:
     """Davies-Bouldin score of a crisp clustering; lower is better."""
-    X, a, Z = _check_scorable(data, assignment, centroids)
-    k = Z.shape[0]
-    sigma = np.empty(k)
-    for h in range(k):
-        members = X[a == h]
-        sigma[h] = float(np.sqrt(((members - Z[h]) ** 2).sum(axis=1)).mean())
-    gaps = np.sqrt(_centroid_gaps_squared(Z))
-    ratios = (sigma[:, None] + sigma[None, :]) / gaps
+    a, D, gaps = _scorable(data, assignment, centroids)
+    norms = np.sqrt(D.sum(axis=1))  # sigma_h is their mean over cluster h, in gene order
+    sigma = np.array([np.compress(a == h, norms).mean() for h in range(len(gaps))])
+    ratios = (sigma[:, None] + sigma[None, :]) / np.sqrt(gaps)
     return float(ratios.max(axis=1).mean())
 
 
 def xb_index(data, assignment, centroids) -> float:
     """Xie-Beni score of a crisp clustering; lower is better."""
-    X, a, Z = _check_scorable(data, assignment, centroids)
-    within = sum_squared_error(X, a, Z)
-    separation = float(_centroid_gaps_squared(Z).min())
-    return within / (X.shape[0] * separation)
+    _, D, gaps = _scorable(data, assignment, centroids)
+    return float(D.sum()) / (D.shape[0] * float(gaps.min()))
 
 
 def crispify(rough: RoughClustering, data, metric: str = "distance") -> np.ndarray:

@@ -465,6 +465,12 @@ def two_class_matrix():
 
 
 class TestParseLabels:
+    def test_matrix_without_ids_rejected(self):
+        matrix = ExpressionMatrix(("g0",), ("s0", "s1"), [[1.0, 2.0]])
+        with pytest.raises(ValidationError, match=r"^parse_labels: expected an ExpressionMatrix "
+                                                  r"or MembershipMatrix, got ndarray$"):
+            parse_labels(io.StringIO("s0\tA\ns1\tB\n"), matrix.values)
+
     def test_valid_labels(self):
         m = two_class_matrix()
         labels = parse_labels(io.StringIO("s1\tALL\ns2\tAML\n"), m)
