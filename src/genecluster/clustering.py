@@ -165,7 +165,7 @@ def _check_finite(A, what: str):
 
 
 def _as_finite_pair(data, centroids) -> tuple[np.ndarray, np.ndarray]:
-    """Data and centroids for a rule or a score: NaN or inf would pick a cluster silently."""
+    """Data and centroids for a rule or a score: NaN or inf would skew either silently."""
     X, Z = _as_matrix(data), _as_matrix(centroids)
     if Z.shape[1] != X.shape[1]:
         raise ShapeError(f"centroid width {Z.shape[1]} != data width {X.shape[1]}")
@@ -175,8 +175,8 @@ def _as_finite_pair(data, centroids) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _residuals(data, assignment, centroids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, Z, (X - Z[a])**2): the squared residuals every score sums, with a
-    one cluster index in 0..k-1 per row of X, as int64."""
+    """The assignment a (int64), the centroids Z and the squared residuals
+    (X - Z[a])**2 that every score sums; a holds one index in 0..k-1 per row."""
     X, Z = _as_finite_pair(data, centroids)
     a = np.asarray(assignment, dtype=np.int64)
     if a.shape != (X.shape[0],):
