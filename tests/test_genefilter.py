@@ -12,6 +12,7 @@ from genecluster.errors import (
     ShapeError,
     ValidationError,
 )
+from genecluster.fuzzysoft import MembershipMatrix
 from genecluster.genefilter import (
     DiscretizationSpec,
     GeneRanking,
@@ -23,6 +24,11 @@ from genecluster.genefilter import (
     write_ranking,
 )
 from genecluster.ingest import ClassLabels, ExpressionMatrix, parse_labels, parse_matrix
+
+
+# a labelled matrix is 2-D, so a vector argument given one is rejected like a
+# one-row array, with the same typed error
+ONE_ROW = ExpressionMatrix(("g0",), ("s0", "s1", "s2", "s3"), [[1.0, 2.0, 3.0, 4.0]])
 
 
 class TestEntropy:
@@ -44,6 +50,12 @@ class TestEntropy:
     def test_bad_sum_rejected(self):
         with pytest.raises(InvalidDistributionError):
             entropy((0.5, 0.4))
+
+    def test_one_row_matrix_rejected_like_a_one_row_array(self):
+        matrix = MembershipMatrix(("g0",), ("s0", "s1"), [[0.5, 0.5]])
+        with pytest.raises(InvalidDistributionError,
+                           match=r"^expected a non-empty 1-D probability vector$"):
+            entropy(matrix)
 
     @pytest.mark.parametrize("distribution", [(), [[0.5, 0.5]]])
     def test_empty_or_two_dimensional_rejected(self, distribution):
@@ -92,6 +104,10 @@ class TestBinIndices:
         with pytest.raises(ShapeError, match=r"^bin_indices expects a 1-D vector$"):
             bin_indices([[1.0, 2.0]], 2)
 
+    def test_one_row_matrix_rejected_like_a_one_row_array(self):
+        with pytest.raises(ShapeError, match=r"^bin_indices expects a 1-D vector$"):
+            bin_indices(ONE_ROW, 2)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=10),
@@ -128,6 +144,10 @@ class TestInformationGain:
     def test_single_class_propagates_degenerate_error(self):
         with pytest.raises(DegenerateLabelsError):
             information_gain([1.0, 2.0], ["A", "A"], DiscretizationSpec(2))
+
+    def test_one_row_matrix_rejected_like_a_one_row_array(self):
+        with pytest.raises(ShapeError, match="gene row of length"):
+            information_gain(ONE_ROW, list("aabb"), DiscretizationSpec(2))
 
     def test_row_and_labels_of_different_lengths_rejected(self):
         with pytest.raises(ShapeError, match=r"^gene row of length \(3,\) vs \(2,\) labels$"):
@@ -362,3 +382,12 @@ def test_write_ranking(tmp_path):
     assert lines[0] == "gene_id,ig_bits,rank"
     assert lines[1] == "gB,0.75,1"
     assert lines[2] == "gA,0.25,2"
+
+
+@pytest.mark.parametrize("gene_ids", [("gA",), ("gA", "gB", "gC")])
+def test_write_ranking_rejects_another_number_of_ids(tmp_path, gene_ids):
+    ranking = GeneRanking(np.array([0.25, 0.75]), np.array([1, 0]))
+    path = tmp_path / "ranking.csv"
+    with pytest.raises(ShapeError, match=rf"^{len(gene_ids)} gene ids for a ranking of 2 genes$"):
+        write_ranking(ranking, gene_ids, path)
+    assert not path.exists()
