@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     _check_integer,
 )
-from .ingest import ClassLabels, ExpressionMatrix, _block_rows, _labelled, _write_csv
+from .ingest import ClassLabels, ExpressionMatrix, _as_array, _block_rows, _labelled, _write_csv
 
 __all__ = [
     "DiscretizationSpec",
@@ -91,7 +91,7 @@ def entropy(distribution) -> float:
 
     Entries must be non-negative and sum to 1 within 1e-9.
     """
-    p = np.asarray(distribution, dtype=float)
+    p = _as_array(distribution)
     if p.ndim != 1 or p.size == 0:
         raise InvalidDistributionError("expected a non-empty 1-D probability vector")
     if np.any(p < 0):
@@ -126,7 +126,7 @@ def bin_indices(values, bin_count: int) -> np.ndarray:
     The bin of x is min(B-1, floor((x - lo) * B / (hi - lo))); a constant
     vector lands entirely in bin 0.
     """
-    v = np.asarray(values, dtype=float)
+    v = _as_array(values)
     if v.ndim != 1:
         raise ShapeError("bin_indices expects a 1-D vector")
     spec = DiscretizationSpec(bin_count)
@@ -232,7 +232,7 @@ def information_gain(gene_row, labels, spec: DiscretizationSpec) -> float:
     ``labels`` is a :class:`ClassLabels` aligned with the row via its
     companion sample order, or any per-sample sequence of class tags.
     """
-    row = np.asarray(gene_row, dtype=float)
+    row = _as_array(gene_row)
     y = _class_vector(labels)
     if row.ndim != 1 or row.shape != y.shape:
         raise ShapeError(f"gene row of length {row.shape} vs {y.shape} labels")
@@ -282,7 +282,9 @@ def rank_and_select(
 
 
 def write_ranking(ranking: GeneRanking, gene_ids, dest) -> None:
-    """Dump a ranking as CSV rows of gene_id, ig_bits, rank (1-based)."""
+    """Dump a ranking as CSV rows of gene_id, ig_bits, rank (1-based): one id per gene."""
+    if len(gene_ids) != len(ranking.scores):
+        raise ShapeError(f"{len(gene_ids)} gene ids for a ranking of {len(ranking.scores)} genes")
     scores = ranking.scores.tolist()
     rows = (
         (gene_ids[idx], repr(scores[idx]), rank)

@@ -205,9 +205,14 @@ class LabelledMatrix:
         return len(self.sample_ids)
 
 
+def _as_array(data) -> np.ndarray:
+    """Any array argument as floats; a labelled matrix gives its values bit for bit."""
+    return np.asarray(getattr(data, "values", data), dtype=float)
+
+
 def _as_matrix(data) -> np.ndarray:
-    """Any array argument as 2-D floats; a labelled matrix gives its values bit for bit."""
-    X = np.asarray(getattr(data, "values", data), dtype=float)
+    """Any array argument as 2-D floats through ``_as_array``; 1-D input is one column."""
+    X = _as_array(data)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     if X.ndim != 2:
