@@ -23,7 +23,13 @@ from genecluster.genefilter import (
     rank_and_select,
     write_ranking,
 )
-from genecluster.ingest import ClassLabels, ExpressionMatrix, parse_labels, parse_matrix
+from genecluster.ingest import (
+    ClassLabels,
+    ExpressionMatrix,
+    _block_rows,
+    parse_labels,
+    parse_matrix,
+)
 
 
 # a labelled matrix is 2-D, so a vector argument given one is rejected like a
@@ -335,6 +341,27 @@ class TestExactTies:
         for i in range(0, n, 97):
             want = oracles.info_gain_binned(values[i].tolist(), classes, bins.bin_count)
             assert abs(ranking.scores[i] - want) <= 1e-12
+
+    # 101 and 257 samples reach primes above any workload's, and above N / 2
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("m", [34, 101, 257])
+    def test_tie_heavy_order_matches_exact_oracle(self, m, n_classes):
+        rng = np.random.default_rng(m * 10 + n_classes)
+        n = _block_rows(m) + 200  # more than one row block
+        classes = [f"c{j % n_classes}" for j in range(m)]
+        rng.shuffle(classes)
+        codes = np.array([int(c[1:]) for c in classes])
+        base = rng.integers(0, 4, size=(n // 8, m)) + rng.integers(0, 3, size=(n // 8, 1)) * codes
+        values = base[rng.integers(0, n // 8, size=n)]
+        for c in range(n_classes):  # shuffling within a class keeps a row's count table
+            values[:, codes == c] = rng.permuted(values[:, codes == c], axis=1)
+        bins = DiscretizationSpec.sturges(m)
+        ranking, _ = rank_and_select(build_matrix(values), build_labels(classes), bins, 1)
+        assert len(set(ranking.scores.tolist())) <= n // 8  # every row ties with others
+        rows = values.tolist()
+        assert ranking.order.tolist() == oracles.exact_ig_order(rows, classes, bins.bin_count)
+        for row, score in zip(rows, ranking.scores.tolist()):
+            assert abs(score - oracles.info_gain_binned(row, classes, bins.bin_count)) <= 1e-12
 
 
 class TestGeneRankingType:
