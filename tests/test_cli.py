@@ -650,9 +650,104 @@ class TestMain:
         rows = json.loads((out / "report.json").read_text())
         assert [(r["algorithm"], r["params"]["epsilon"]) for r in rows] == [("rough", 1.1)]
 
+    def test_config_file_with_bom_and_crlf_runs_as_plain_file(self, small_dataset, tmp_path):
+        matrix_path, labels_path, _ = small_dataset
+        lines = [f"matrix = {matrix_path}", f"labels = {labels_path}",
+                 "top-genes = 8", "restarts = 2"]
+        reports = []
+        for name, prefix, newline in (("plain", "", "\n"), ("bom", "\ufeff", "\r\n")):
+            config_path = tmp_path / f"{name}.conf"
+            config_path.write_bytes((prefix + newline.join(lines) + newline).encode("utf-8"))
+            out = tmp_path / name
+            assert main(["--config", str(config_path), "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_every_flag_is_a_config_field(self):
         dests = set(vars(cli._build_parser().parse_args([]))) - {"config", "algorithm"}
         assert dests <= {f.name for f in fields(ExperimentConfig)}
+
+
+class TestFlags:
+    """Every flag as data, and a config-file value typed as its flag types it."""
+
+    # option string, dest, type, choices, action class, help; each flag defaults to None
+    FLAGS = [
+        ("--matrix", "matrix", None, None, "_StoreAction",
+         "expression matrix file (genes as rows)"),
+        ("--labels", "labels", None, None, "_StoreAction",
+         "two-column sample/class label file"),
+        ("--config", "config", None, None, "_StoreAction",
+         "flat key = value config file; flags override it"),
+        ("--out", "out", None, None, "_StoreAction",
+         "output directory (default: results)"),
+        ("--dataset", "dataset", None, None, "_StoreAction",
+         "dataset tag for reports (default: matrix stem)"),
+        ("--top-genes", "top_genes", int, None, "_StoreAction",
+         "keep the N most informative genes (default: all)"),
+        ("--bins", "bins", int, None, "_StoreAction",
+         "discretization bins for information gain (default: Sturges)"),
+        ("--fuzzify", "fuzzify", None, ["s", "z"], "_StoreAction",
+         "membership shape for the fsrk engine (default: s)"),
+        ("--algorithm", "algorithm", None, ["kmeans", "rough", "fsrk"], "_AppendAction",
+         "engine to run; repeatable (default: all three)"),
+        ("--k", "k", int, None, "_StoreAction",
+         "number of clusters (default: 2)"),
+        ("--w-lower", "w_lower", float, None, "_StoreAction",
+         "lower-approximation centroid weight (default: 0.7)"),
+        ("--w-upper", "w_upper", float, None, "_StoreAction",
+         "boundary centroid weight (default: 0.3)"),
+        ("--epsilon", "epsilon", float, None, "_StoreAction",
+         "ratio threshold; >= 1 for rough, in (0, 1] for fsrk (defaults: 1.2 and 0.95)"),
+        ("--max-iter", "max_iter", int, None, "_StoreAction",
+         "iteration cap per run (default: 100)"),
+        ("--tol", "tol", float, None, "_StoreAction",
+         "max centroid displacement to declare convergence (default: 1e-6)"),
+        ("--seed", "seed", int, None, "_StoreAction",
+         "base RNG seed (default: 0)"),
+        ("--restarts", "restarts", int, None, "_StoreAction",
+         "runs per algorithm; best DB index wins (default: 1)"),
+    ]
+
+    def test_flags_in_order(self):
+        actions = cli._build_parser()._actions
+        assert actions[0].option_strings == ["-h", "--help"]
+        assert [
+            (*a.option_strings, a.dest, a.type, a.choices, type(a).__name__, a.help)
+            for a in actions[1:]
+        ] == self.FLAGS
+        assert all(a.default is None and a.nargs is None for a in actions[1:])
+
+    @pytest.mark.parametrize("key, text, value", [
+        ("out", "elsewhere", Path("elsewhere")),
+        ("dataset", "tag", "tag"),
+        ("top_genes", "8", 8),
+        ("bins", "5", 5),
+        ("fuzzify", "z", "z"),
+        ("algorithm", "rough", ("rough",)),
+        ("k", "3", 3),
+        ("w_lower", "0.6", 0.6),
+        ("w_upper", "0.4", 0.4),
+        ("epsilon", "1.1", 1.1),
+        ("max_iter", "50", 50),
+        ("tol", "1e-4", 1e-4),
+        ("seed", "7", 7),
+        ("restarts", "2", 2),
+    ])
+    def test_config_file_value_is_typed_like_its_flag(self, tmp_path, key, text, value):
+        def config(*args):
+            return cli.build_config(cli._build_parser().parse_args(
+                ["--matrix", "m.tsv", "--labels", "l.tsv", *args]))
+
+        config_path = tmp_path / "run.conf"
+        config_path.write_text(f"{key} = {text}\n")
+        from_file = config("--config", str(config_path))
+        from_flag = config("--" + key.replace("_", "-"), text)
+        assert from_file == from_flag
+        name = "algorithms" if key == "algorithm" else key
+        for got in (getattr(from_file, name), getattr(from_flag, name)):
+            assert got == value and type(got) is type(value)
+        assert from_flag != config()  # each value differs from the default
 
 
 class TestEntryPoint:

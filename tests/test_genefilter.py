@@ -365,8 +365,10 @@ class TestExactTies:
 
 class TestGeneRankingType:
     def test_order_must_be_permutation(self):
-        with pytest.raises(Exception):
-            GeneRanking(np.array([1.0, 0.5]), np.array([0, 0]))
+        # a repeat, an index past the end, a negative index and a short order
+        for order in ([0, 0], [0, 2], [-1, 0], [0]):
+            with pytest.raises(ValidationError, match=r"^order must be a permutation of 0\.\.n-1$"):
+                GeneRanking(np.array([1.0, 0.5]), np.array(order))
 
     def test_scores_must_be_non_increasing_along_order(self):
         with pytest.raises(Exception):
