@@ -16,8 +16,8 @@ fuzzify.
 report.csv and ``compare`` write each row through one formatter. Outputs
 (report.csv, report.json, assignments-<algorithm>.csv, ranking.csv) are
 written atomically and contain no timestamps, so identical configs produce
-byte-identical files. A config file holds the flags' keys; flags override
-it, merged by name.
+byte-identical files. A config file holds the flags' keys, each value typed
+as its flag's; flags override it, merged by name.
 """
 
 from __future__ import annotations
@@ -67,11 +67,11 @@ class ExperimentConfig:
     fuzzify: str = "s"
     algorithms: tuple[str, ...] = ALGORITHMS
     k: int = 2
-    w_lower: float = 0.7
-    w_upper: float = 0.3
+    w_lower: float = RoughParams.w_lower
+    w_upper: float = RoughParams.w_upper
     epsilon: float | None = None
-    max_iter: int = 100
-    tol: float = 1e-6
+    max_iter: int = RoughParams.max_iter
+    tol: float = RoughParams.tol
     seed: int = 0
     restarts: int = 1
 
@@ -271,12 +271,38 @@ def compare(reports) -> tuple[str, str]:
     return "\n".join(text_lines), csv_text.getvalue()
 
 
+# One row per flag, in --help order: its config key and its argparse keywords.
+# A config-file value is typed by its key's row, as the flag's value is.
+_FLAGS = {
+    "matrix": dict(help="expression matrix file (genes as rows)"),
+    "labels": dict(help="two-column sample/class label file"),
+    "config": dict(help="flat key = value config file; flags override it"),
+    "out": dict(help="output directory (default: results)"),
+    "dataset": dict(help="dataset tag for reports (default: matrix stem)"),
+    "top_genes": dict(type=int, help="keep the N most informative genes (default: all)"),
+    "bins": dict(type=int, help="discretization bins for information gain (default: Sturges)"),
+    "fuzzify": dict(choices=list(KINDS), help="membership shape for the fsrk engine (default: s)"),
+    "algorithm": dict(action="append", choices=list(ALGORITHMS),
+                      help="engine to run; repeatable (default: all three)"),
+    "k": dict(type=int, help="number of clusters (default: 2)"),
+    "w_lower": dict(type=float, help="lower-approximation centroid weight (default: 0.7)"),
+    "w_upper": dict(type=float, help="boundary centroid weight (default: 0.3)"),
+    "epsilon": dict(type=float, help="ratio threshold; >= 1 for rough, in (0, 1] for fsrk "
+                                     "(defaults: 1.2 and 0.95)"),
+    "max_iter": dict(type=int, help="iteration cap per run (default: 100)"),
+    "tol": dict(type=float,
+                help="max centroid displacement to declare convergence (default: 1e-6)"),
+    "seed": dict(type=int, help="base RNG seed (default: 0)"),
+    "restarts": dict(type=int, help="runs per algorithm; best DB index wins (default: 1)"),
+}
+
+
 def _load_config_file(path: Path) -> dict:
-    """Flat key = value file mirroring the CLI flags; '#' starts a comment."""
+    """Flat key = value file mirroring the CLI flags; '#' starts a comment, a BOM is skipped."""
     if not path.is_file():
         raise PipelineError("startup", f"config file not found: {path}")
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -288,18 +314,10 @@ def _load_config_file(path: Path) -> dict:
     return values
 
 
-_INT_KEYS = {"top_genes", "bins", "k", "max_iter", "seed", "restarts"}
-_FLOAT_KEYS = {"w_lower", "w_upper", "epsilon", "tol"}
-
-
 def _coerce(key, value):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
     if key == "algorithms":
-        return tuple(a for a in value.replace(",", " ").split() if a)
-    return value
+        return tuple(value.replace(",", " ").split())
+    return _FLAGS.get(key, {}).get("type", str)(value)
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -331,34 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Filter, fuzzify, cluster, and score gene-expression matrices, "
                     "comparing kmeans, rough, and fsrk engines.",
     )
-    parser.add_argument("--matrix", help="expression matrix file (genes as rows)")
-    parser.add_argument("--labels", help="two-column sample/class label file")
-    parser.add_argument("--config", help="flat key = value config file; flags override it")
-    parser.add_argument("--out", help="output directory (default: results)")
-    parser.add_argument("--dataset", help="dataset tag for reports (default: matrix stem)")
-    parser.add_argument("--top-genes", dest="top_genes", type=int,
-                        help="keep the N most informative genes (default: all)")
-    parser.add_argument("--bins", type=int,
-                        help="discretization bins for information gain (default: Sturges)")
-    parser.add_argument("--fuzzify", choices=list(KINDS),
-                        help="membership shape for the fsrk engine (default: s)")
-    parser.add_argument("--algorithm", action="append", choices=list(ALGORITHMS),
-                        help="engine to run; repeatable (default: all three)")
-    parser.add_argument("--k", type=int, help="number of clusters (default: 2)")
-    parser.add_argument("--w-lower", dest="w_lower", type=float,
-                        help="lower-approximation centroid weight (default: 0.7)")
-    parser.add_argument("--w-upper", dest="w_upper", type=float,
-                        help="boundary centroid weight (default: 0.3)")
-    parser.add_argument("--epsilon", type=float,
-                        help="ratio threshold; >= 1 for rough, in (0, 1] for fsrk "
-                             "(defaults: 1.2 and 0.95)")
-    parser.add_argument("--max-iter", dest="max_iter", type=int,
-                        help="iteration cap per run (default: 100)")
-    parser.add_argument("--tol", type=float,
-                        help="max centroid displacement to declare convergence (default: 1e-6)")
-    parser.add_argument("--seed", type=int, help="base RNG seed (default: 0)")
-    parser.add_argument("--restarts", type=int,
-                        help="runs per algorithm; best DB index wins (default: 1)")
+    for key, keywords in _FLAGS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, **keywords)
     return parser
 
 

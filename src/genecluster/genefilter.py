@@ -73,7 +73,7 @@ class GeneRanking:
         scores = np.asarray(self.scores, dtype=float)
         order = np.asarray(self.order, dtype=np.int64)
         n = scores.shape[0]
-        if order.shape != (n,) or sorted(order.tolist()) != list(range(n)):
+        if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
             raise ValidationError("order must be a permutation of 0..n-1")
         if n and (not np.isfinite(scores).all() or scores.min() < 0):
             raise ValidationError("scores must be finite and non-negative")
