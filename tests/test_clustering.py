@@ -281,8 +281,19 @@ class TestRoughCentroids:
         rng = np.random.default_rng(n + m)
         X = 2.0 ** rng.normal(7.0, 1.5, size=(n, m)) + rng.normal(0, 60, size=(n, m))
         lower, upper = self.random_masks(rng, n, 5)
+        # a one-row segment (cluster 3's lower set is gene 0 alone) and a segment
+        # whose rows are all -0.0 (cluster 1's lower set, which holds gene 1)
+        lower[(lower == 3) | (np.arange(n) == 1)] = 1
+        lower[0] = 3
+        upper[:2] = False
+        upper[[0, 1], [3, 1]] = True
+        upper[lower == 1, 3] = False
+        upper[lower == 1, 1] = True
+        X[lower == 1] = -0.0
         previous = rng.normal(size=(5, m))
         assert not upper[:, 0].any() and (lower != 2).all() and upper[:, 2].any()
+        assert np.count_nonzero(lower == 3) == 1 and upper[0].sum() == 1
+        assert (upper[:, 1] == (lower == 1)).all() and np.signbit(X[lower == 1]).all()
         for weights in ((0.7, 0.3), (1.0, 0.0), (0.6, 0.4000000001)):
             got = clustering._update_centroids(X, lower, upper, *weights, previous)
             want = oracles.update_centroids_per_cluster(X, lower, upper, *weights, previous)
@@ -648,6 +659,17 @@ class TestBoundedRule:
         assert 5 in lower1[0] and 5 in upper2[0] & upper2[1]
         assert d[1] == 1.5 * d[0]
 
+    @pytest.mark.parametrize("scale", [1e-42, 1e-60])
+    def test_tiny_memberships(self, monkeypatch, scale):
+        # memberships in float32's subnormal range (1e-42) and below it (1e-60)
+        rng = np.random.default_rng(12)
+        M, _ = TestEstimateBound.memberships(rng, 300, 34)
+        M *= scale
+        for k, seed in ((2, 0), (4, 1), (10, 2)):
+            self.both(monkeypatch, fsrk_kmeans, M, RoughParams(k=k, seed=seed))
+        self.both(monkeypatch, fsrk_kmeans, M, RoughParams(k=3, epsilon=0.8),
+                  initial_centroids=M[[3, 0, 150]])
+
     @pytest.mark.parametrize("engine, memberships", [(kmeans, False), (rough_kmeans, False),
                                                      (fsrk_kmeans, True)])
     def test_engines_equal_plain_across_row_blocks(self, monkeypatch, engine, memberships):
@@ -792,10 +814,14 @@ class TestEstimateBound:
         n = 2 * _block_rows(m) + 13  # two row blocks and a ragged tail
         M, Z = self.memberships(rng, n, m)
         X = 1e3 * rng.normal(size=(n, m)) + 5e3 * M
-        for rule, data, centroids, threshold in (
+        # memberships scaled into float32's subnormal range (1e-42) and below it
+        # (1e-60), against centroids among those rows; centroid 0 is the all-zero gene 3
+        tiny = [(clustering._SimilarityRule, scale * M, scale * M[[3, 0, n // 2, 7, 8]], 0.95)
+                for scale in (1e-42, 1e-60)]
+        for rule, data, centroids, threshold in [
                 (clustering._SimilarityRule, M, Z, 0.95),
                 (clustering._DistanceRule, M, Z, 1.44),
-                (clustering._DistanceRule, X, X[[0, n // 2, 5, 6]], 1.44)):
+                (clustering._DistanceRule, X, X[[0, n // 2, 5, 6]], 1.44)] + tiny:
             with np.errstate(invalid="ignore"):
                 E, bound = rule(data).estimate(data, centroids)
             kernel = rule.kernel(data, centroids).T
@@ -984,3 +1010,4 @@ class TestLabelledMatrixInput:
         }[entry]
         want = call(expression.values, memberships.values)
         assert bits(call(expression, memberships)) == bits(want)
+
