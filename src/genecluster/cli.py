@@ -37,7 +37,7 @@ from .clustering import (
     DEFAULT_ROUGH_EPSILON,
     CrispClustering,
     RoughParams,
-    _to_masks,
+    _rough_masks,
     fsrk_kmeans,
     kmeans,
     rough_kmeans,
@@ -129,7 +129,7 @@ def _memberships(result, n, k):
     """Lower index (-1 for a boundary gene) and (n, k) upper mask of an engine result."""
     if isinstance(result, CrispClustering):
         return result.assignment, np.eye(k, dtype=bool)[result.assignment]
-    return _to_masks(result.lower, result.upper, n)
+    return _rough_masks(result, n, k)
 
 
 def _assignment_rows(gene_ids, lower, upper):

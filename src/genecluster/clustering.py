@@ -21,9 +21,11 @@ approximation is in at least two upper approximations; the upper sets cover
 all genes. Exact distance/similarity ties go to the lowest cluster index
 before the ratio test, so a tied competitor never widens the boundary; with
 epsilon at its crisp setting every gene therefore lands in exactly one lower
-approximation. Results, hooks and public helpers see frozensets. Sets that a
-caller builds (``rough_centroids``, ``validity.crispify``) must obey the
-first three axioms, or ValidationError is raised. The last two are not
+approximation. Results, hooks and public helpers see frozensets; an
+engine's result builds them from its masks when first read, and
+``crispify`` reads those masks directly. Sets that a caller builds
+(``rough_centroids``, ``validity.crispify``) must obey the first three
+axioms, or ValidationError is raised. The last two are not
 checked there, so a single cluster's sets, or a boundary gene in one upper
 set, are accepted; ``crispify`` alone refuses a gene in no set.
 
@@ -37,20 +39,21 @@ labelled matrix (``ExpressionMatrix``, ``MembershipMatrix``).
 Each pass first settles what it can from an estimate: every gene-centroid
 score is built approximately in a few batched BLAS calls (a squared distance
 as ||x||^2 + ||z||^2 - 2 x.z; a similarity as 2 M / D, with M = min(x, z) . 1
-the sum of elementwise minima and D = sum x + sum z from row sums, which is
-1 - |x - z| . 1 / D because memberships are nonnegative), with a bound on
-how far it can lie from the kernel's score. A gene whose best cluster is
-unique and whose every ratio test passes or fails by more than that bound
-plus a slack takes its masks from the estimate, crisp or in the boundary;
-every other gene goes through the scoring kernel. Nothing is carried from
-pass to pass. Masks, centroids and cycles are the plain rule's bit for bit
-(``_FilteredRule`` gives the argument).
+the sum of elementwise minima, taken in float32, and D = sum x + sum z from
+row sums, which is 1 - |x - z| . 1 / D because memberships are nonnegative),
+with a bound on how far it can lie from the kernel's score. A gene whose
+best cluster is unique and whose every ratio test passes or fails by more
+than that bound plus a slack takes its masks from the estimate, crisp or in
+the boundary; every other gene goes through the scoring kernel. Nothing is
+carried from pass to pass. Masks, centroids and cycles are the plain rule's
+bit for bit (``_FilteredRule`` gives the argument).
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,7 +141,11 @@ class RoughParams:
 
 @dataclass(frozen=True, eq=False)
 class CrispClustering:
-    """A crisp partition: per-gene cluster, centroids, and its SSE."""
+    """A crisp partition: per-gene cluster, centroids, and its SSE.
+
+    ``kmeans`` sums the SSE over the data it ran on when ``sse`` is first
+    read, so that data must not change in between.
+    """
 
     assignment: np.ndarray
     centroids: np.ndarray
@@ -149,7 +156,11 @@ class CrispClustering:
 
 @dataclass(frozen=True, eq=False)
 class RoughClustering:
-    """Lower/upper approximation sets per cluster plus centroids."""
+    """Lower/upper approximation sets per cluster plus centroids.
+
+    An engine's result keeps the engine's masks and builds each tuple of sets
+    when it is first read.
+    """
 
     lower: tuple[frozenset[int], ...]
     upper: tuple[frozenset[int], ...]
@@ -157,6 +168,38 @@ class RoughClustering:
     iterations: int
     converged: bool
     had_empty_cluster: bool = False
+
+
+def _result(cls, **attributes):
+    """An instance of a frozen result class with its attributes set directly.
+
+    The subclasses below derive some fields when first read; built through
+    their dataclass ``__init__`` (as ``dataclasses.replace`` does), they hold
+    every field as given instead.
+    """
+    result = object.__new__(cls)
+    result.__dict__.update(attributes)
+    return result
+
+
+class _KMeansResult(CrispClustering):
+    """``kmeans``' result: it holds the data it ran on and sums ``sse`` when first read."""
+
+    @cached_property
+    def sse(self) -> float:
+        return sum_squared_error(self._data, self.assignment, self.centroids)
+
+
+class _RoughResult(RoughClustering):
+    """A rough engine's result, holding its lower index and (n, k) upper mask."""
+
+    @cached_property
+    def lower(self) -> tuple[frozenset[int], ...]:
+        return _lower_sets(self._masks[0], self._masks[1].shape[1])
+
+    @cached_property
+    def upper(self) -> tuple[frozenset[int], ...]:
+        return _upper_sets(self._masks[1])
 
 
 def _check_finite(A, what: str):
@@ -275,8 +318,8 @@ def _settle(lo, hi, threshold) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     within = lo >= threshold * np.take(hi, flat)
     sure = within | (hi < threshold * lo_b)
     sure &= hi < lo_b
-    np.put(within, flat, False)
-    np.put(sure, flat, True)
+    within.reshape(-1)[flat] = False  # both fresh, so C-ordered: reshape gives views,
+    sure.reshape(-1)[flat] = True     # set through in a third of np.put's time
     finite = np.isfinite(np.add.reduce(lo, axis=0) + np.add.reduce(hi, axis=0))
     return best, within.T, sure.all(axis=0) & finite
 
@@ -308,20 +351,35 @@ class _FilteredRule:
     epsilon * d_best that the plain test takes: a ratio that clears epsilon
     by the interval clears it in the plain rule, and a best cluster whose
     interval lies strictly above all others is the plain rule's unique best,
-    with every other computed distance strictly larger. Similarities: with
-    memberships x, z >= 0, |x_j - z_j| = x_j + z_j - 2 min(x_j, z_j), so the
-    numerator N = D - 2M with M = sum_j min(x_j, z_j) <= D / 2, and
-    S = 1 - N / D = 2M / D <= 1. The estimate's minima are exact and M, the
-    row sums and D are sums of nonnegative terms, within a relative (m - 1) u,
-    (m - 1) u and m u of the exact ones; 2M is exact and the division adds u,
-    so 2M / D lies within about (2m + 2) u of S, absolute since S <= 1. The
-    kernel's N and D are sums of m rounded nonnegative terms, each within a
-    relative (m + 1) u, so its 1 - N / D, with N <= D, lies within about
-    (2m + 4) u of S. The two lie within (4m + 6) u of each other, under the
-    stated (4m + 8) u; underflow loses far less than the slack, which is
-    1e-9 absolute. A score whose estimate overflows (distances) or whose D
-    is 0 (similarities) reads infinite or NaN and leaves its gene to the
-    kernel.
+    with every other computed distance strictly larger.
+
+    Similarities: with memberships x, z >= 0, |x_j - z_j| = x_j + z_j -
+    2 min(x_j, z_j), so the numerator N = D - 2M with M = sum_j min(x_j, z_j)
+    <= D / 2, and S = 1 - N / D = 2M / D <= 1. The kernel's N and D are sums
+    of m rounded nonnegative terms, each within a relative (m + 1) u, so its
+    1 - N / D, with N <= D, lies within about (2m + 4) u of S. The estimate
+    sums M in float32, with v = 2**-24 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, section 4.2, for the sums). x and z
+    are rounded to float32 and, rounding being monotone, min(fl(x_j),
+    fl(z_j)) = fl(min(x_j, z_j)): one rounding per term. In float32's normal
+    range, from 2**-126 up, that rounding is within a relative v. Below it
+    the error is absolute: at most 2**-150 between subnormals, and a term
+    under 2**-150 rounds to 0. So each term lies within v of its minimum
+    relative plus 2**-126 absolute, which also covers a machine that flushes
+    subnormal inputs or results to 0. A float32 sum of m nonnegative terms,
+    in any order, lies within (m - 1) v relative to first order of the
+    terms' sum, plus 2**-126 for each of its m - 1 additions whose result is
+    flushed. The computed M is thus within about m v relative plus 2m 2**-126
+    absolute of the exact M. 2M is exact in float64, D comes from float64 row
+    sums within m u, and the division adds u, so 2M / D lies within about
+    m v + (m + 1) u of S, absolute since S <= 1, plus 4m 2**-126 / D. The
+    stated bound (m + 2) v + 8m 2**-126 / D covers that, the kernel's
+    (2m + 4) u and the second-order terms for any m below 2**20. Without the
+    1 / D term, memberships of 1e-60 (all flushed to 0 in float32, so
+    M = 0 while S is near 1) would break it. The slack, 1e-9 absolute,
+    covers the rounding of the ratio test. A score whose estimate overflows
+    (distances) or whose D is 0 (similarities) reads infinite or NaN and
+    leaves its gene to the kernel.
     """
 
     @classmethod
@@ -395,16 +453,22 @@ class _SimilarityRule(_FilteredRule):
     The estimate is 2M / D, which is 1 - N / D for memberships (see
     ``_FilteredRule``): M = min(x, z) . 1 takes one ``np.minimum`` and one
     GEMV per block of ``ingest._tiles``, in place of a subtraction, an
-    absolute value and a GEMV for N = |x - z| . 1, and D = sum x + sum z
-    comes from row sums, those of X taken once per run. Where D is 0 (an
-    all-zero gene against an all-zero centroid) the similarity is 1 and the
-    estimate NaN, so the kernel scores every gene that meets such a pair.
+    absolute value and a GEMV for N = |x - z| . 1, and runs in float32 over
+    a copy of X made once per run and the centroids rounded each pass.
+    D = sum x + sum z comes from float64 row sums, those of X taken once per
+    run, and the bound, (m + 2) 2**-24 + 8m 2**-126 / D, is one per pair.
+    Where D is 0 (an all-zero gene against an all-zero centroid) the
+    similarity is 1 and the estimate NaN, so the kernel scores every gene
+    that meets such a pair.
     """
 
     def __init__(self, X):
+        m = X.shape[1]
         self.x_sums = np.add.reduce(X, axis=1)
-        self.ones = np.ones(X.shape[1])
-        self.error = (4 * X.shape[1] + 8) * 2.0**-53
+        self.x32 = X.astype(np.float32)
+        self.ones = np.ones(m, dtype=np.float32)
+        self.error = (m + 2) * 2.0**-24
+        self.floor = 8 * m * 2.0**-126
 
     @staticmethod
     def kernel(X, Z):
@@ -419,25 +483,33 @@ class _SimilarityRule(_FilteredRule):
         return epsilon
 
     def estimate(self, X, Z):
-        S = np.empty((len(Z), X.shape[0]))
-        for h, rows, block, tile, scratch in _tiles(X, Z):
-            np.dot(np.minimum(block, tile, out=scratch), self.ones, out=S[h, rows])
+        M = np.empty((len(Z), X.shape[0]), dtype=np.float32)
+        for h, rows, block, tile, scratch in _tiles(self.x32, Z.astype(np.float32)):
+            np.dot(np.minimum(block, tile, out=scratch), self.ones, out=M[h, rows])
+        D = np.add.reduce(Z, axis=1)[:, None] + self.x_sums
+        with np.errstate(divide="ignore", invalid="ignore"):  # D = 0: S and bound non-finite
+            S = np.divide(M, D)  # in float64; doubling it below is exact
+            bound = np.divide(self.floor, D)
         S *= 2.0
-        S /= np.add.reduce(Z, axis=1)[:, None] + self.x_sums
-        return S, self.error
+        bound += self.error
+        return S, bound
 
     @staticmethod
     def interval(S, bound):
         return S - (bound + _SLACK), S + (bound + _SLACK)
 
 
+def _lower_sets(lower, k) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset(np.flatnonzero(lower == h).tolist()) for h in range(k))
+
+
+def _upper_sets(upper) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset(np.flatnonzero(upper[:, h]).tolist()) for h in range(upper.shape[1]))
+
+
 def _to_sets(lower, upper) -> tuple[tuple, tuple]:
     """Lower and upper approximations as tuples of frozensets of gene indices."""
-    k = upper.shape[1]
-    return (
-        tuple(frozenset(np.flatnonzero(lower == h).tolist()) for h in range(k)),
-        tuple(frozenset(np.flatnonzero(upper[:, h]).tolist()) for h in range(k)),
-    )
+    return _lower_sets(lower, upper.shape[1]), _upper_sets(upper)
 
 
 def _to_masks(lower_sets, upper_sets, n) -> tuple[np.ndarray, np.ndarray]:
@@ -472,24 +544,42 @@ def _to_masks(lower_sets, upper_sets, n) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
+def _rough_masks(rough, n, k) -> tuple[np.ndarray, np.ndarray]:
+    """Lower index and (n, k) upper mask of a RoughClustering of n genes, as
+    arrays the caller may change. An engine's result gives copies of its own
+    masks. Any other has its sets checked: a number of clusters other than
+    the k centroids raises ShapeError, and so does whatever ``_to_masks``
+    refuses."""
+    masks = getattr(rough, "_masks", None)
+    if masks is not None and len(masks[0]) == n:
+        return masks[0].copy(), masks[1].copy()
+    if len(rough.upper) != k:
+        raise ShapeError(f"{k} centroids vs {len(rough.upper)} clusters")
+    return _to_masks(rough.lower, rough.upper, n)
+
+
 def _update_centroids(X, lower, upper, w_lower, w_upper, previous) -> np.ndarray:
     """Each cluster's w_lower * mean(lower) + w_upper * mean(boundary) when
     both are non-empty, else the mean of its upper set, else (that set empty)
     its previous centroid; each lower set lies in its upper set.
 
     Row h of one (2k, n) mask holds cluster h's lower set, row k + h its
-    boundary (the upper set outside the lower one). Each mean reduces the
-    rows ``np.compress`` gathers in gene order, laid out as ``X[mask]`` is,
-    so it keeps the bits of ``.mean``. Per-row ``count_nonzero`` and
-    ``compress`` cost less here than their 2-D or boolean-index forms.
+    boundary (the upper set outside the lower one). Each mean sums the rows
+    ``np.compress`` gathers in gene order, laid out as ``X[mask]`` is, so it
+    keeps the bits of ``.mean``: ``np.add.reduce(·, axis=0)`` adds them row
+    by row from +0.0, and so does ``np.einsum("ij->j", ·)`` at less cost,
+    but not on a single column, where it sums in another order.
     """
     n, k = upper.shape
     members = np.empty((2 * k, n), dtype=bool)
     np.equal(lower, np.arange(k)[:, None], out=members[:k])
     np.greater(upper.T, members[:k], out=members[k:])
-    counts = np.array([np.count_nonzero(genes) for genes in members])
-    sums = np.array([np.add.reduce(np.compress(genes, X, axis=0), axis=0) for genes in members])
-    means = sums.reshape(2 * k, X.shape[1]) / np.maximum(counts, 1)[:, None]
+    counts = np.count_nonzero(members, axis=1)
+    if X.shape[1] > 1:
+        sums = [np.einsum("ij->j", X.compress(genes, axis=0)) for genes in members]
+    else:
+        sums = [np.add.reduce(X.compress(genes, axis=0), axis=0) for genes in members]
+    means = np.array(sums).reshape(2 * k, X.shape[1]) / np.maximum(counts, 1)[:, None]
     crisp, boundary = counts[:k, None] > 0, counts[k:, None] > 0
     out = np.where(crisp & boundary, w_lower * means[:k] + w_upper * means[k:],
                    np.where(boundary, means[k:], means[:k]))
@@ -558,8 +648,8 @@ def kmeans(data, params: RoughParams, initial_centroids=None) -> CrispClustering
     assignment, _, centroids, iterations, converged, _ = _engine(
         data, params, _DistanceRule, 1.0, initial_centroids, None
     )
-    return CrispClustering(assignment, centroids, iterations, converged,
-                           sum_squared_error(data, assignment, centroids))
+    return _result(_KMeansResult, assignment=assignment, centroids=centroids,
+                   iterations=iterations, converged=converged, _data=data)
 
 
 def rough_assign(data, centroids, epsilon: float) -> tuple[tuple, tuple]:
@@ -596,6 +686,12 @@ def rough_centroids(data, lower, upper, w_lower: float, w_upper: float,
     return _update_centroids(X, lower_idx, upper_mask, w_lower, w_upper, previous_centroids)
 
 
+def _rough_result(run) -> RoughClustering:
+    lower, upper, centroids, iterations, converged, had_empty = run
+    return _result(_RoughResult, _masks=(lower, upper), centroids=centroids,
+                   iterations=iterations, converged=converged, had_empty_cluster=had_empty)
+
+
 def rough_kmeans(data, params: RoughParams, initial_centroids=None,
                  on_iteration=None) -> RoughClustering:
     """Rough-set k-means: ratio-threshold assignment plus weighted centroids.
@@ -605,9 +701,8 @@ def rough_kmeans(data, params: RoughParams, initial_centroids=None,
     """
     epsilon = _distance_epsilon(
         DEFAULT_ROUGH_EPSILON if params.epsilon is None else params.epsilon)
-    lower, upper, *run = _engine(data, params, _DistanceRule, epsilon,
-                                 initial_centroids, on_iteration)
-    return RoughClustering(*_to_sets(lower, upper), *run)
+    return _rough_result(_engine(data, params, _DistanceRule, epsilon,
+                                 initial_centroids, on_iteration))
 
 
 def fsrk_assign(memberships, centroids, epsilon: float) -> tuple[tuple, tuple]:
@@ -635,6 +730,5 @@ def fsrk_kmeans(memberships, params: RoughParams, initial_centroids=None,
         _check_unit_interval(_as_matrix(initial_centroids), "fsrk centroids")
     epsilon = _similarity_epsilon(
         DEFAULT_FSRK_EPSILON if params.epsilon is None else params.epsilon)
-    lower, upper, *run = _engine(M, params, _SimilarityRule, epsilon,
-                                 initial_centroids, on_iteration)
-    return RoughClustering(*_to_sets(lower, upper), *run)
+    return _rough_result(_engine(M, params, _SimilarityRule, epsilon,
+                                 initial_centroids, on_iteration))

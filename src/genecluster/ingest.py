@@ -68,11 +68,11 @@ def _tiles(X, Z) -> Iterator[tuple]:
     ``tile`` is z copied to the block's shape, so elementwise steps run over
     two contiguous blocks instead of broadcasting z row by row, and
     ``scratch`` is a free buffer of that shape. Both are reused for every
-    block and every h.
+    block and every h, and take X's dtype: z is rounded to it.
     """
     n, m = X.shape
     step = _block_rows(m)
-    tiles, scratches = np.empty((2, min(step, n), m))
+    tiles, scratches = np.empty((2, min(step, n), m), dtype=X.dtype)
     for h, z in enumerate(Z):
         tiles[...] = z
         for start in range(0, n, step):

@@ -26,11 +26,11 @@ from .clustering import (
     RoughClustering,
     _as_finite_pair,
     _residuals,
+    _rough_masks,
     _sq_distances,
-    _to_masks,
     sum_squared_error,
 )
-from .errors import DegenerateClusteringError, ParameterError, ShapeError, ValidityError
+from .errors import DegenerateClusteringError, ParameterError, ValidityError
 from .fuzzysoft import _similarities
 
 __all__ = [
@@ -106,9 +106,7 @@ def crispify(rough: RoughClustering, data, metric: str = "distance") -> np.ndarr
     if metric not in ("distance", "similarity"):
         raise ParameterError(f"metric must be 'distance' or 'similarity', got {metric!r}")
     X, Z = _as_finite_pair(data, rough.centroids)
-    if len(Z) != len(rough.upper):
-        raise ShapeError(f"{len(Z)} centroids vs {len(rough.upper)} clusters")
-    assignment, upper = _to_masks(rough.lower, rough.upper, X.shape[0])
+    assignment, upper = _rough_masks(rough, X.shape[0], len(Z))
     boundary = np.flatnonzero(assignment < 0)
     candidates = upper[boundary]
     if not candidates.any(axis=1).all():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from genecluster import clustering
+from genecluster import cli, clustering
 from genecluster.clustering import (
     CrispClustering,
     RoughParams,
@@ -1011,3 +1011,59 @@ class TestLabelledMatrixInput:
         want = call(expression.values, memberships.values)
         assert bits(call(expression, memberships)) == bits(want)
 
+
+class TestEngineResults:
+    """An engine's result keeps its masks: crispify and the CLI's assignment
+    rows read them, its sets are built when first read and its SSE summed
+    when first read, with the same values a caller-built clustering gives."""
+
+    @staticmethod
+    def counted(monkeypatch, *names):
+        calls = []
+        for name in names:
+            monkeypatch.setattr(clustering, name, lambda *args, f=getattr(clustering, name),
+                                name=name: calls.append(name) or f(*args))
+        return calls
+
+    @pytest.mark.parametrize("k", [2, 10])
+    @pytest.mark.parametrize("engine, metric", [(rough_kmeans, "distance"),
+                                                (fsrk_kmeans, "similarity")])
+    def test_masks_path_equals_sets_path(self, monkeypatch, engine, metric, k):
+        n = 2 * _block_rows(34) + 7
+        X, M = modules(np.random.default_rng(k), n, 34, 6)
+        data = X if engine is rough_kmeans else M
+        calls = self.counted(monkeypatch, "_lower_sets", "_upper_sets", "_to_masks")
+        result = engine(data, RoughParams(k=k, seed=4))
+        crisp = crispify(result, data, metric=metric)
+        assert np.array_equal(crispify(result, data, metric=metric), crisp)
+        rows = cli._assignment_rows(list(range(n)), *cli._memberships(result, n, k))
+        assert calls == []
+        lower = result.lower
+        assert result.lower is lower and result.upper is result.upper
+        assert calls == ["_lower_sets", "_upper_sets"]
+        rebuilt = clustering.RoughClustering(lower, result.upper, result.centroids,
+                                             result.iterations, result.converged)
+        assert 0 < sum(map(len, lower)) < n  # crisp genes and boundary genes
+        assert np.array_equal(crispify(rebuilt, data, metric=metric), crisp)
+        assert cli._assignment_rows(list(range(n)), *cli._memberships(rebuilt, n, k)) == rows
+        assert calls.count("_to_masks") == 2
+
+    def test_replaced_sets_are_checked(self):
+        X, _ = modules(np.random.default_rng(3), 60, 5, 3)
+        result = rough_kmeans(X, RoughParams(k=3, seed=1))
+        moved = replace(result, centroids=result.centroids + 0.0)
+        assert moved.lower == result.lower and moved.upper == result.upper
+        assert np.array_equal(crispify(moved, X), crispify(result, X))
+        with pytest.raises(ShapeError, match="4 lower sets vs 3 upper sets"):
+            crispify(replace(result, lower=result.lower + (frozenset(),)), X)
+        with pytest.raises(ShapeError, match="3 centroids vs 2 clusters"):
+            crispify(replace(result, lower=result.lower[:2], upper=result.upper[:2]), X)
+
+    def test_sse_is_summed_when_first_read(self, monkeypatch):
+        X, _ = modules(np.random.default_rng(6), 90, 5, 3)
+        calls = self.counted(monkeypatch, "sum_squared_error")
+        result = kmeans(X, RoughParams(k=3, seed=2))
+        assert calls == []
+        assert result.sse == sum_squared_error(X, result.assignment, result.centroids)
+        assert result.sse == result.sse and calls == ["sum_squared_error"]
+        assert replace(result, sse=1.5).sse == 1.5
