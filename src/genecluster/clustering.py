@@ -496,7 +496,8 @@ class _SimilarityRule(_FilteredRule):
 
     @staticmethod
     def interval(S, bound):
-        return S - (bound + _SLACK), S + (bound + _SLACK)
+        bound += _SLACK
+        return S - bound, S + bound
 
 
 def _lower_sets(lower, k) -> tuple[frozenset[int], ...]:
