@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import logging
@@ -66,7 +67,7 @@ class TestRunExperiment:
         matrix_path, labels_path, _ = small_dataset
         out = tmp_path / "out"
         run_experiment(make_config(matrix_path, labels_path, out))
-        lines = (out / "report.csv").read_text().splitlines()
+        lines = (out / "report.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "dataset,algorithm,db_index,xb_index,sse,iterations"
         assert len(lines) == 4
         for line in lines[1:]:
@@ -78,7 +79,7 @@ class TestRunExperiment:
         matrix_path, labels_path, _ = small_dataset
         out = tmp_path / "out"
         run_experiment(make_config(matrix_path, labels_path, out, restarts=3))
-        rows = json.loads((out / "report.json").read_text())
+        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert len(rows) == 3
         for row in rows:
             assert {"k", "w_lower", "w_upper", "epsilon", "seed", "restart",
@@ -89,7 +90,7 @@ class TestRunExperiment:
         out = tmp_path / "out"
         run_experiment(make_config(matrix_path, labels_path, out))
         for name in ("assignments-kmeans.csv", "assignments-rough.csv", "assignments-fsrk.csv"):
-            lines = (out / name).read_text().splitlines()
+            lines = (out / name).read_text(encoding="utf-8").splitlines()
             assert lines[0] == "gene_id,cluster,membership_kind"
             genes = {line.split(",")[0] for line in lines[1:]}
             kinds = {line.split(",")[2] for line in lines[1:]}
@@ -97,7 +98,8 @@ class TestRunExperiment:
             assert kinds <= {"lower", "boundary"}
         kmeans_kinds = {
             line.split(",")[2]
-            for line in (out / "assignments-kmeans.csv").read_text().splitlines()[1:]
+            for line in (out / "assignments-kmeans.csv").read_text(
+                encoding="utf-8").splitlines()[1:]
         }
         assert kmeans_kinds == {"lower"}
 
@@ -105,7 +107,7 @@ class TestRunExperiment:
         matrix_path, labels_path, _ = small_dataset
         out = tmp_path / "out"
         run_experiment(make_config(matrix_path, labels_path, out))
-        lines = (out / "ranking.csv").read_text().splitlines()
+        lines = (out / "ranking.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "gene_id,ig_bits,rank"
         assert len(lines) == 13
         ranks = [int(line.split(",")[2]) for line in lines[1:]]
@@ -150,6 +152,36 @@ class TestRunExperiment:
         assert stages[-1] == "report"
         assert stages.index("fuzzify") < stages.index("cluster")
 
+    def test_stage_lines_exactly(self, small_dataset, tmp_path, caplog):
+        matrix_path, labels_path, _ = small_dataset
+        out = tmp_path / "out"
+        with caplog.at_level(logging.INFO, logger="genecluster"):
+            run_experiment(make_config(matrix_path, labels_path, out, restarts=2))
+        bins = DiscretizationSpec.sturges(6).bin_count
+        assert [rec.message for rec in caplog.records if rec.message.startswith("stage ")] == [
+            f"stage ingest: {matrix_path} + {labels_path}",
+            f"stage filter: top 8 of 12 genes, {bins} bins",
+            "stage fuzzify: s-shaped, per sample column",
+            *(line for algorithm in ("kmeans", "rough", "fsrk") for line in (
+                f"stage cluster: {algorithm}, k=2, 2 restart(s)",
+                f"stage validate: {algorithm} restart 0",
+                f"stage validate: {algorithm} restart 1",
+            )),
+            f"stage report: writing to {out}",
+        ]
+
+    def test_unreadable_matrix_is_an_ingest_error(self, small_dataset, tmp_path, monkeypatch):
+        matrix_path, labels_path, _ = small_dataset
+
+        def denied(source, *args):
+            raise PermissionError(errno.EACCES, "Permission denied", str(source))
+
+        monkeypatch.setattr(cli, "parse_matrix", denied)
+        with pytest.raises(PipelineError) as err:
+            run_experiment(make_config(matrix_path, labels_path, tmp_path / "out"))
+        assert str(err.value) == f"[ingest] [Errno 13] Permission denied: '{matrix_path}'"
+        assert not (tmp_path / "out").exists()
+
     def test_fuzzify_stage_skipped_without_fsrk(self, small_dataset, tmp_path, caplog):
         matrix_path, labels_path, _ = small_dataset
         out = tmp_path / "out"
@@ -161,9 +193,9 @@ class TestRunExperiment:
 
     def test_ingest_errors_are_stage_tagged(self, tmp_path):
         bad = tmp_path / "bad.tsv"
-        bad.write_text("gene_id\ts1\ts2\ng1\t1\n")
+        bad.write_text("gene_id\ts1\ts2\ng1\t1\n", encoding="utf-8")
         labels = tmp_path / "labels.tsv"
-        labels.write_text("s1\tA\ns2\tB\n")
+        labels.write_text("s1\tA\ns2\tB\n", encoding="utf-8")
         with pytest.raises(PipelineError) as err:
             run_experiment(make_config(bad, labels, tmp_path / "out"))
         assert err.value.stage == "ingest"
@@ -182,7 +214,7 @@ class TestRunExperiment:
         config = make_config(matrix_path, labels_path, out,
                              algorithms=("rough",), epsilon=1.4)
         run_experiment(config)
-        rows = json.loads((out / "report.json").read_text())
+        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert rows[0]["params"]["epsilon"] == 1.4
 
     def test_report_params_are_the_engine_params(self, small_dataset, tmp_path, monkeypatch):
@@ -195,7 +227,7 @@ class TestRunExperiment:
         matrix_path, labels_path, _ = small_dataset
         out = tmp_path / "out"
         run_experiment(make_config(matrix_path, labels_path, out, restarts=2, seed=5))
-        rows = json.loads((out / "report.json").read_text())
+        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))
         engines = {"kmeans": "kmeans", "rough": "rough_kmeans", "fsrk": "fsrk_kmeans"}
         assert {name: len(c) for name, c in calls.items()} == {e: 2 for e in engines.values()}
         bins = DiscretizationSpec.sturges(6).bin_count
@@ -211,7 +243,7 @@ class TestRunExperiment:
         matrix_path, labels_path, _ = small_dataset
         out = tmp_path / "out"
         run_experiment(make_config(matrix_path, labels_path, out))
-        rows = json.loads((out / "report.json").read_text())
+        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert {r["algorithm"]: r["params"]["epsilon"] for r in rows} == {
             "kmeans": None, "rough": DEFAULT_ROUGH_EPSILON, "fsrk": DEFAULT_FSRK_EPSILON,
         }
@@ -220,7 +252,7 @@ class TestRunExperiment:
         matrix_path, labels_path, _ = small_dataset
         out = tmp_path / "out"
         run_experiment(make_config(matrix_path, labels_path, out, bins=3))
-        rows = json.loads((out / "report.json").read_text())
+        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert [r["params"]["bins"] for r in rows] == [3, 3, 3]
 
     def test_no_scorable_restart_is_a_validate_error(self, tmp_path, caplog):
@@ -237,10 +269,10 @@ class TestRunExperiment:
 
     def test_ids_with_delimiters_stay_one_field(self, small_dataset, tmp_path):
         matrix_path, labels_path, _ = small_dataset
-        text = matrix_path.read_text().replace("\ng0\t", '\nHLA-DRB1,3\t')
+        text = matrix_path.read_text(encoding="utf-8").replace("\ng0\t", '\nHLA-DRB1,3\t')
         text = text.replace("\ng1\t", '\nsay "g1"\t')
         odd = tmp_path / "odd.tsv"
-        odd.write_text(text)
+        odd.write_text(text, encoding="utf-8")
         out = tmp_path / "out"
         run_experiment(make_config(odd, labels_path, out, top_genes=12, dataset="demo,v2"))
         widths = {"ranking.csv": 3, "report.csv": 6, "assignments-kmeans.csv": 3,
@@ -259,10 +291,10 @@ class TestRunExperiment:
         out = tmp_path / "out"
         out.mkdir()
         stale = out / "ranking.csv.tmp"
-        stale.write_text("stale\n")
+        stale.write_text("stale\n", encoding="utf-8")
         run_experiment(make_config(matrix_path, labels_path, out))
         run_experiment(make_config(matrix_path, labels_path, out))
-        assert stale.read_text() == "stale\n"
+        assert stale.read_text(encoding="utf-8") == "stale\n"
         assert sorted(os.listdir(out)) == sorted([
             "assignments-fsrk.csv", "assignments-kmeans.csv", "assignments-rough.csv",
             "ranking.csv", "ranking.csv.tmp", "report.csv", "report.json",
@@ -332,10 +364,11 @@ class TestRunExperiment:
         for i in range(n):
             lines.append("\t".join([f"g{i}"] + [repr(float(v)) for v in values[i]]))
         matrix_path = tmp_path / "big.tsv"
-        matrix_path.write_text("\n".join(lines) + "\n")
+        matrix_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         labels_path = tmp_path / "big-labels.tsv"
         labels_path.write_text(
-            "\n".join(f"s{j}\t" + ("ALL" if j % 2 == 0 else "AML") for j in range(m)) + "\n"
+            "\n".join(f"s{j}\t" + ("ALL" if j % 2 == 0 else "AML") for j in range(m)) + "\n",
+            encoding="utf-8",
         )
         out = tmp_path / "out"
         reports = run_experiment(make_config(
@@ -345,7 +378,7 @@ class TestRunExperiment:
         for r in reports:
             assert np.isfinite(r.db_index) and np.isfinite(r.xb_index)
             assert r.iterations >= 1
-        lines = (out / "ranking.csv").read_text().splitlines()
+        lines = (out / "ranking.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == n + 1
 
     def test_every_traced_layer_called_through_cli(self, small_dataset, tmp_path, monkeypatch):
@@ -447,7 +480,7 @@ def test_pinned_output_bytes(tmp_path):
         matrix=matrix_path, labels=labels_path, out=out, k=3, restarts=2, seed=0,
     ))
     for algorithm in ("rough", "fsrk"):
-        text = (out / f"assignments-{algorithm}.csv").read_text()
+        text = (out / f"assignments-{algorithm}.csv").read_text(encoding="utf-8")
         assert ",boundary\n" in text, f"{algorithm} has no boundary gene"
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED_SHA256}
     assert got == PINNED_SHA256
@@ -478,7 +511,7 @@ def test_pinned_output_bytes_cycling_fsrk(tmp_path):
         matrix=matrix_path, labels=labels_path, out=out, k=2, restarts=3, seed=0,
         max_iter=39, algorithms=("fsrk",),
     ))
-    rows = json.loads((out / "report.json").read_text())
+    rows = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert [(r["algorithm"], r["iterations"], r["converged"]) for r in rows] == [
         ("fsrk", 39, False)
     ]
@@ -573,7 +606,8 @@ class TestMain:
                 "k = 2",
                 "restarts = 2",
                 "algorithm = kmeans, rough   # fsrk added via flag",
-            ]) + "\n"
+            ]) + "\n",
+            encoding="utf-8",
         )
         code = main([
             "--config", str(config_path),
@@ -583,7 +617,7 @@ class TestMain:
         assert code == 0
         assert (tmp_path / "from-flag" / "report.csv").is_file()
         assert not (tmp_path / "from-file").exists()
-        lines = (tmp_path / "from-flag" / "report.csv").read_text().splitlines()
+        lines = (tmp_path / "from-flag" / "report.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2  # flag narrowed the algorithm list to kmeans
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -593,10 +627,37 @@ class TestMain:
 
     def test_config_line_without_equals_sign(self, tmp_path, capsys):
         config_path = tmp_path / "run.conf"
-        config_path.write_text("# a comment\nk 2\n")
+        config_path.write_text("# a comment\nk 2\n", encoding="utf-8")
         assert main(["--config", str(config_path)]) == 1
         assert capsys.readouterr().err == (
             f"error: [startup] {config_path}:2: expected key = value\n")
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        config_path = tmp_path / "run.conf"
+        config_path.write_bytes(b"# latin-1\nk = \xff\n")
+        assert main(["--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [startup] {config_path}: not UTF-8 text: byte 0xff on line 2\n")
+
+    @pytest.mark.parametrize("which", ["matrix", "labels"])
+    def test_input_not_utf8_is_an_ingest_error(self, small_dataset, tmp_path, capsys, which):
+        matrix_path, labels_path, _ = small_dataset
+        path = {"matrix": matrix_path, "labels": labels_path}[which]
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        out = tmp_path / "out"
+        assert main(["--matrix", str(matrix_path), "--labels", str(labels_path),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: [ingest] not UTF-8 text: byte 0xff on line 1\n"
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_a_report_error(self, small_dataset, tmp_path, capsys):
+        matrix_path, labels_path, _ = small_dataset
+        out = tmp_path / "out"
+        out.write_text("not a directory\n", encoding="utf-8")
+        assert main(["--matrix", str(matrix_path), "--labels", str(labels_path),
+                     "--out", str(out), "--top-genes", "8"]) == 1
+        assert capsys.readouterr().err == f"error: [report] [Errno 17] File exists: '{out}'\n"
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
 
     def test_missing_required_keys(self, capsys):
         assert main([]) == 1
@@ -610,7 +671,8 @@ class TestMain:
     def test_config_file_errors(self, small_dataset, tmp_path, capsys, line, message):
         matrix_path, labels_path, _ = small_dataset
         config_path = tmp_path / "run.conf"
-        config_path.write_text(f"matrix = {matrix_path}\nlabels = {labels_path}\n{line}\n")
+        config_path.write_text(f"matrix = {matrix_path}\nlabels = {labels_path}\n{line}\n",
+                               encoding="utf-8")
         assert main(["--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -624,10 +686,11 @@ class TestMain:
         out = tmp_path / "out"
         config_path = tmp_path / "run.conf"
         config_path.write_text(
-            "\n".join([f"matrix = {matrix_path}", f"labels = {labels_path}", *lines]) + "\n"
+            "\n".join([f"matrix = {matrix_path}", f"labels = {labels_path}", *lines]) + "\n",
+            encoding="utf-8",
         )
         assert main(["--config", str(config_path), "--out", str(out)]) == 0
-        rows = json.loads((out / "report.json").read_text())
+        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert [(r["algorithm"], r["params"]["top_genes"]) for r in rows] == [("kmeans", 8)]
 
     def test_config_file_float_key_comment_and_blank_lines(self, small_dataset, tmp_path):
@@ -644,10 +707,11 @@ class TestMain:
                 "top-genes = 8",
                 "restarts = 2",
                 "epsilon = 1.1",
-            ]) + "\n"
+            ]) + "\n",
+            encoding="utf-8",
         )
         assert main(["--config", str(config_path), "--out", str(out)]) == 0
-        rows = json.loads((out / "report.json").read_text())
+        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))
         assert [(r["algorithm"], r["params"]["epsilon"]) for r in rows] == [("rough", 1.1)]
 
     def test_config_file_with_bom_and_crlf_runs_as_plain_file(self, small_dataset, tmp_path):
@@ -740,7 +804,7 @@ class TestFlags:
                 ["--matrix", "m.tsv", "--labels", "l.tsv", *args]))
 
         config_path = tmp_path / "run.conf"
-        config_path.write_text(f"{key} = {text}\n")
+        config_path.write_text(f"{key} = {text}\n", encoding="utf-8")
         from_file = config("--config", str(config_path))
         from_flag = config("--" + key.replace("_", "-"), text)
         assert from_file == from_flag
@@ -759,7 +823,7 @@ class TestEntryPoint:
         paths = [src, os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
         return subprocess.run([sys.executable, "-m", "genecluster", *args], cwd=cwd, env=env,
-                              capture_output=True, text=True, timeout=300)
+                              capture_output=True, text=True, encoding="utf-8", timeout=300)
 
     def test_run_writes_every_report_and_logs_its_stages(self, small_dataset, tmp_path):
         matrix_path, labels_path, _ = small_dataset

@@ -406,7 +406,7 @@ def test_write_ranking(tmp_path):
     ranking = GeneRanking(np.array([0.25, 0.75]), np.array([1, 0]))
     path = tmp_path / "ranking.csv"
     write_ranking(ranking, ("gA", "gB"), path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "gene_id,ig_bits,rank"
     assert lines[1] == "gB,0.75,1"
     assert lines[2] == "gA,0.25,2"

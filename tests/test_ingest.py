@@ -111,7 +111,7 @@ class TestParseMatrix:
 
     def test_parse_from_path(self, tmp_path):
         path = tmp_path / "m.tsv"
-        path.write_text(matrix_text([("g1", 1, 2)]))
+        path.write_text(matrix_text([("g1", 1, 2)]), encoding="utf-8")
         m = parse_matrix(path)
         assert m.n_genes == 1
 
@@ -151,6 +151,27 @@ class TestByteOrderMark:
         assert m.sample_ids == ("s0", "s1")
         labels = parse_labels(labels_path, m)
         assert labels.labels == {"s0": "ALL", "s1": "AML"}
+
+
+class TestNotUtf8:
+    """Text that is not UTF-8 is a ParseError naming the line of its first bad byte."""
+
+    @pytest.mark.parametrize("data, message", [
+        (b"\xff\xfegene_id\ts1\ts2\ng1\t1\t2\n", "byte 0xff on line 1"),
+        # a byte-order mark is not counted; lines end at LF, CRLF or CR
+        (b"\xef\xbb\xbfgene_id\ts1\ts2\r\ng1\t1\t2\rg\xe92\t3\t4\n", "byte 0xe9 on line 3"),
+    ], ids=["first-line", "after-bom-and-cr"])
+    def test_matrix(self, tmp_path, data, message):
+        path = tmp_path / "matrix.tsv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=f"^not UTF-8 text: {message}$"):
+            parse_matrix(path)
+
+    def test_labels(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_bytes("s1\tALL\ns2\tAMLé\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="^not UTF-8 text: byte 0xe9 on line 2$"):
+            parse_labels(path, two_class_matrix())
 
 
 class TestRoundTrip:
