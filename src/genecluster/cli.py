@@ -1,23 +1,23 @@
 """End-to-end pipeline runner and command-line front end.
 
-Stage order is fixed: startup -> ingest -> filter -> fuzzify (only when the
-fsrk engine is requested) -> cluster -> validate -> report. Startup checks
-every setting that needs no input with the library's own checks (all but
-top_genes, checked in the filter stage as an integer from 1 to the gene
-count, and epsilon, checked against each engine's range in the cluster
-stage) and builds the run's one ``RoughParams`` before any input is read.
-kmeans and rough cluster the filtered raw-valued matrix; fsrk clusters the
-fuzzified one. Each algorithm runs ``restarts`` times on that
-``RoughParams`` with the engine's epsilon and seeds seed, seed+1, ... filled
-in. Every restart gets a DB index; only the one with the lowest (the earliest
-on ties) also gets its XB index, SSE and membership masks, and is reported.
-report.json echoes the fields it ran with, plus restart, top_genes, bins and
-fuzzify.
-report.csv and ``compare`` write each row through one formatter. Outputs
-(report.csv, report.json, assignments-<algorithm>.csv, ranking.csv) are
-written atomically and contain no timestamps, so identical configs produce
-byte-identical files. A config file holds the flags' keys, each value typed
-as its flag's; flags override it, merged by name.
+``run_experiment`` runs its stages in a fixed order, each as one ``_stage``
+block that logs its ``stage <name>: ...`` line and tags a library or OS error
+raised in it ``[<name>]``. startup (no line) checks every setting that needs
+no input, all but top_genes (checked in filter as an integer from 1 to the
+gene count) and epsilon (checked per engine in cluster), and builds the run's
+one ``RoughParams``. ingest reads the matrix and labels; filter keeps the
+top_genes by information gain; fuzzify runs only when fsrk is requested.
+Then, per algorithm, cluster runs ``restarts`` times on that ``RoughParams``
+with the engine's epsilon and seeds seed, seed+1, ...: kmeans and rough on
+the filtered raw-valued matrix, fsrk on the fuzzified one. Each restart's DB
+index is a validate line. The lowest (the earliest on ties) wins, and
+validate scores it alone by XB index and SSE. report writes report.csv,
+report.json (each row's run fields plus restart, top_genes, bins and
+fuzzify), assignments-<algorithm>.csv (the winner's membership masks) and
+ranking.csv, atomically and without timestamps, so identical configs produce
+byte-identical files; report.csv and ``compare`` share one row formatter.
+A config file holds the flags' keys, each value typed as its flag's; flags
+override it, merged by name.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import io
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -42,10 +43,11 @@ from .clustering import (
     kmeans,
     rough_kmeans,
 )
-from .errors import GeneClusterError, ParameterError, PipelineError, ValidityError, _check_integer
+from .errors import (GeneClusterError, ParameterError, ParseError, PipelineError, ValidityError,
+                     _check_integer)
 from .fuzzysoft import KINDS, _check_kind, fuzzify
 from .genefilter import DiscretizationSpec, rank_and_select, write_ranking
-from .ingest import _atomic_write, _write_csv, parse_labels, parse_matrix
+from .ingest import _atomic_write, _decode, _write_csv, parse_labels, parse_matrix
 from .validity import ValidityReport, crispify, db_index, sum_squared_error, xb_index
 
 __all__ = ["ExperimentConfig", "run_experiment", "compare", "main"]
@@ -104,41 +106,57 @@ class ExperimentConfig:
         return self.dataset or self.matrix.stem
 
 
-def _stage(name, fn, *args, **kwargs):
+@contextmanager
+def _stage(name, message=None, *args):
+    """Log ``stage <name>: <message>`` if given; re-raise a GeneClusterError or
+    OSError from inside as PipelineError(name, ...). A PipelineError passes."""
+    if message is not None:
+        log.info("stage %s: " + message, name, *args)
     try:
-        return fn(*args, **kwargs)
+        yield
     except PipelineError:
         raise
-    except GeneClusterError as exc:
+    except (GeneClusterError, OSError) as exc:
         raise PipelineError(name, str(exc)) from exc
 
 
-def _run_algorithm(algorithm, filtered, fuzzy, params):
-    """One clustering run: (crisp assignment, result, data scored)."""
-    if algorithm == "kmeans":
-        result = kmeans(filtered, params)
-        return result.assignment, result, filtered
-    if algorithm == "rough":
-        result, scored, metric = rough_kmeans(filtered, params), filtered, "distance"
-    else:
-        result, scored, metric = fsrk_kmeans(fuzzy, params), fuzzy, "similarity"
-    return crispify(result, scored, metric=metric), result, scored
+def _best_restart(config, params, algorithm, data):
+    """(db, restart, run params, crisp assignment, result) of the restart with
+    the lowest DB index, the earliest on ties; unscorable restarts are skipped."""
+    epsilon = None if algorithm == "kmeans" else (
+        _DEFAULT_EPSILON[algorithm] if config.epsilon is None else config.epsilon)
+    best = None
+    for restart in range(config.restarts):
+        run = replace(params, epsilon=epsilon, seed=config.seed + restart)
+        if algorithm == "kmeans":
+            result = kmeans(data, run)
+            crisp = result.assignment
+        else:
+            rough = algorithm == "rough"
+            result = (rough_kmeans if rough else fsrk_kmeans)(data, run)
+            crisp = crispify(result, data, metric="distance" if rough else "similarity")
+        with _stage("validate", "%s restart %d", algorithm, restart):
+            try:
+                db = db_index(data, crisp, result.centroids)
+            except ValidityError as exc:
+                log.warning("%s restart %d not scorable: %s", algorithm, restart, exc)
+                continue
+        if best is None or db < best[0]:
+            best = (db, restart, run, crisp, result)
+    if best is None:
+        raise PipelineError(
+            "validate", f"no scorable {algorithm} clustering in {config.restarts} restart(s)")
+    return best
 
 
-def _memberships(result, n, k):
-    """Lower index (-1 for a boundary gene) and (n, k) upper mask of an engine result."""
-    if isinstance(result, CrispClustering):
-        return result.assignment, np.eye(k, dtype=bool)[result.assignment]
-    return _rough_masks(result, n, k)
-
-
-def _assignment_rows(gene_ids, lower, upper):
+def _assignment_rows(gene_ids, result, k):
     """CSV body rows of (gene_id, cluster, membership_kind), gene order first."""
-    lower = lower.tolist()
-    return [
-        (gene_ids[i], h, "lower" if lower[i] == h else "boundary")
-        for i, h in zip(*(index.tolist() for index in np.nonzero(upper)))
-    ]
+    if isinstance(result, CrispClustering):
+        lower, upper = result.assignment, np.eye(k, dtype=bool)[result.assignment]
+    else:
+        lower, upper = _rough_masks(result, len(gene_ids), k)
+    lower, pairs = lower.tolist(), zip(*(index.tolist() for index in np.nonzero(upper)))
+    return [(gene_ids[i], h, "lower" if lower[i] == h else "boundary") for i, h in pairs]
 
 
 _REPORT_HEADER = ("dataset", "algorithm", "db_index", "xb_index", "sse", "iterations")
@@ -163,81 +181,57 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
     restart on ties) and alone is scored by XB and SSE; restarts whose
     clustering cannot be scored are skipped with a warning.
     """
-    params = _stage("startup", config.validate)
-    dataset = config.dataset_tag
-
-    log.info("stage ingest: %s + %s", config.matrix, config.labels)
-    matrix = _stage("ingest", parse_matrix, config.matrix)
-    labels = _stage("ingest", parse_labels, config.labels, matrix)
+    with _stage("startup"):
+        params = config.validate()
+    with _stage("ingest", "%s + %s", config.matrix, config.labels):
+        matrix = parse_matrix(config.matrix)
+        labels = parse_labels(config.labels, matrix)
 
     spec = (DiscretizationSpec.sturges(matrix.n_samples) if config.bins is None
             else DiscretizationSpec(config.bins))
     top_n = matrix.n_genes if config.top_genes is None else config.top_genes
-    log.info("stage filter: top %d of %d genes, %d bins", top_n, matrix.n_genes, spec.bin_count)
-    ranking, filtered = _stage("filter", rank_and_select, matrix, labels, spec, top_n)
+    with _stage("filter", "top %d of %d genes, %d bins", top_n, matrix.n_genes, spec.bin_count):
+        ranking, filtered = rank_and_select(matrix, labels, spec, top_n)
 
     fuzzy = None
     if "fsrk" in config.algorithms:
-        log.info("stage fuzzify: %s-shaped, per sample column", config.fuzzify)
-        fuzzy = _stage("fuzzify", fuzzify, filtered, config.fuzzify)
+        with _stage("fuzzify", "%s-shaped, per sample column", config.fuzzify):
+            fuzzy = fuzzify(filtered, config.fuzzify)
 
     reports: list[ValidityReport] = []
-    assignment_files: dict[str, list[tuple]] = {}
+    winners = {}
     for algorithm in config.algorithms:
-        log.info("stage cluster: %s, k=%d, %d restart(s)", algorithm, config.k, config.restarts)
-        epsilon = None
-        if algorithm in _DEFAULT_EPSILON:
-            epsilon = _DEFAULT_EPSILON[algorithm] if config.epsilon is None else config.epsilon
-        best = None
-        for restart in range(config.restarts):
-            run = replace(params, epsilon=epsilon, seed=config.seed + restart)
-            crisp, result, scored = _stage(
-                "cluster", _run_algorithm, algorithm, filtered, fuzzy, run
-            )
-            log.info("stage validate: %s restart %d", algorithm, restart)
-            try:
-                db = db_index(scored, crisp, result.centroids)
-            except ValidityError as exc:
-                log.warning("%s restart %d not scorable: %s", algorithm, restart, exc)
-                continue
-            if best is None or db < best[0]:
-                best = (db, restart, run, crisp, result, scored)
-        if best is None:
-            raise PipelineError(
-                "validate", f"no scorable {algorithm} clustering in {config.restarts} restart(s)"
-            )
+        data = fuzzy if algorithm == "fsrk" else filtered
+        with _stage("cluster", "%s, k=%d, %d restart(s)", algorithm, config.k, config.restarts):
+            db, restart, run, crisp, result = _best_restart(config, params, algorithm, data)
         # xb_index makes db_index's checks, so it cannot fail on the restart db_index scored
-        db, restart, run, crisp, result, scored = best
-        reports.append(ValidityReport(
-            dataset=dataset,
-            algorithm=algorithm,
-            db_index=db,
-            xb_index=xb_index(scored, crisp, result.centroids),
-            sse=sum_squared_error(scored, crisp, result.centroids),
-            iterations=result.iterations,
-            converged=result.converged,
-            params={
-                **asdict(run),
-                "restart": restart,
-                "top_genes": top_n,
-                "bins": spec.bin_count,
-                "fuzzify": config.fuzzify if algorithm == "fsrk" else None,
-            },
-        ))
-        assignment_files[algorithm] = _assignment_rows(
-            filtered.gene_ids, *_memberships(result, len(crisp), config.k))
+        with _stage("validate"):
+            reports.append(ValidityReport(
+                dataset=config.dataset_tag,
+                algorithm=algorithm,
+                db_index=db,
+                xb_index=xb_index(data, crisp, result.centroids),
+                sse=sum_squared_error(data, crisp, result.centroids),
+                iterations=result.iterations,
+                converged=result.converged,
+                params={**asdict(run), "restart": restart, "top_genes": top_n,
+                        "bins": spec.bin_count,
+                        "fuzzify": config.fuzzify if algorithm == "fsrk" else None},
+            ))
+        winners[algorithm] = result
 
-    log.info("stage report: writing to %s", config.out)
-    config.out.mkdir(parents=True, exist_ok=True)
-    write_ranking(ranking, matrix.gene_ids, config.out / "ranking.csv")
-    for algorithm, rows in assignment_files.items():
-        _write_csv(config.out / f"assignments-{algorithm}.csv",
-                   ("gene_id", "cluster", "membership_kind"), rows)
-    _write_csv(config.out / "report.csv", _REPORT_HEADER, map(_report_cells, reports))
-    _atomic_write(
-        config.out / "report.json",
-        json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True) + "\n",
-    )
+    with _stage("report", "writing to %s", config.out):
+        config.out.mkdir(parents=True, exist_ok=True)
+        write_ranking(ranking, matrix.gene_ids, config.out / "ranking.csv")
+        for algorithm, result in winners.items():
+            _write_csv(config.out / f"assignments-{algorithm}.csv",
+                       ("gene_id", "cluster", "membership_kind"),
+                       _assignment_rows(filtered.gene_ids, result, config.k))
+        _write_csv(config.out / "report.csv", _REPORT_HEADER, map(_report_cells, reports))
+        _atomic_write(
+            config.out / "report.json",
+            json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True) + "\n",
+        )
     return reports
 
 
@@ -301,8 +295,12 @@ def _load_config_file(path: Path) -> dict:
     """Flat key = value file mirroring the CLI flags; '#' starts a comment, a BOM is skipped."""
     if not path.is_file():
         raise PipelineError("startup", f"config file not found: {path}")
+    try:
+        text = _decode(path.read_bytes())
+    except (OSError, ParseError) as exc:
+        raise PipelineError("startup", f"{path}: {exc}") from None
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -14,7 +14,8 @@ quoted CSV-style (``"HLA-DRB1,3"``, ``"a""b"``), as :func:`write_matrix`
 writes it. Label files are two columns per record, ``sample_id <delim>
 class``, quoted the same way.
 Both UTF-8 (with or without a byte-order mark) with LF or CRLF line endings
-are accepted; lines end at LF, CRLF or CR only. Missing or non-numeric
+are accepted; lines end at LF, CRLF or CR only. Text that is not UTF-8 is a
+ParseError naming the line of its first bad byte. Missing or non-numeric
 cells are rejected rather than imputed, since every downstream computation
 assumes complete data.
 
@@ -85,6 +86,16 @@ def _sniff_delimiter(header_line: str) -> str:
     return "\t" if "\t" in header_line else ","
 
 
+def _decode(data: bytes) -> str:
+    """UTF-8 text, a leading byte-order mark dropped; a ParseError names the first bad byte."""
+    data = data.removeprefix(b"\xef\xbb\xbf")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(data[: exc.start + 1].splitlines())  # bytes break lines at LF, CRLF, CR only
+        raise ParseError(f"not UTF-8 text: byte {data[exc.start]:#04x} on line {line}") from None
+
+
 def _read_lines(source, delimiter: str | None) -> tuple[list[str], str, bool]:
     """The lines of a path or an open text stream, their delimiter, and whether they hold a quote.
 
@@ -99,8 +110,8 @@ def _read_lines(source, delimiter: str | None) -> tuple[list[str], str, bool]:
     if hasattr(source, "read"):
         text = source.read()
     else:
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
+        with open(source, "rb") as fh:
+            text = _decode(fh.read())
     quoted = '"' in text
     if quoted:
         # the csv module needs the line ends to keep a line break inside a field

@@ -639,6 +639,18 @@ class TestMain:
         assert capsys.readouterr().err == (
             f"error: [startup] {config_path}: not UTF-8 text: byte 0xff on line 2\n")
 
+    def test_unreadable_config_file(self, tmp_path, capsys, monkeypatch):
+        config_path = tmp_path / "run.conf"
+        config_path.write_text("k = 2\n", encoding="utf-8")
+
+        def denied(path):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        assert main(["--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [startup] {config_path}: [Errno 13] Permission denied: '{config_path}'\n")
+
     @pytest.mark.parametrize("which", ["matrix", "labels"])
     def test_input_not_utf8_is_an_ingest_error(self, small_dataset, tmp_path, capsys, which):
         matrix_path, labels_path, _ = small_dataset
@@ -655,7 +667,7 @@ class TestMain:
         out = tmp_path / "out"
         out.write_text("not a directory\n", encoding="utf-8")
         assert main(["--matrix", str(matrix_path), "--labels", str(labels_path),
-                     "--out", str(out), "--top-genes", "8"]) == 1
+                     "--out", str(out), "--top-genes", "8", "--algorithm", "kmeans"]) == 1
         assert capsys.readouterr().err == f"error: [report] [Errno 17] File exists: '{out}'\n"
         assert out.read_text(encoding="utf-8") == "not a directory\n"
 

@@ -1036,7 +1036,7 @@ class TestEngineResults:
         result = engine(data, RoughParams(k=k, seed=4))
         crisp = crispify(result, data, metric=metric)
         assert np.array_equal(crispify(result, data, metric=metric), crisp)
-        rows = cli._assignment_rows(list(range(n)), *cli._memberships(result, n, k))
+        rows = cli._assignment_rows(list(range(n)), result, k)
         assert calls == []
         lower = result.lower
         assert result.lower is lower and result.upper is result.upper
@@ -1045,7 +1045,7 @@ class TestEngineResults:
                                              result.iterations, result.converged)
         assert 0 < sum(map(len, lower)) < n  # crisp genes and boundary genes
         assert np.array_equal(crispify(rebuilt, data, metric=metric), crisp)
-        assert cli._assignment_rows(list(range(n)), *cli._memberships(rebuilt, n, k)) == rows
+        assert cli._assignment_rows(list(range(n)), rebuilt, k) == rows
         assert calls.count("_to_masks") == 2
 
     def test_replaced_sets_are_checked(self):
