@@ -109,7 +109,7 @@ class ExperimentConfig:
 @contextmanager
 def _stage(name, message=None, *args):
     """Log ``stage <name>: <message>`` if given; re-raise a GeneClusterError or
-    OSError from inside as PipelineError(name, ...). A PipelineError passes."""
+    OSError from inside as PipelineError(name, ...). A PipelineError passes through."""
     if message is not None:
         log.info("stage %s: " + message, name, *args)
     try:
@@ -150,12 +150,13 @@ def _best_restart(config, params, algorithm, data):
 
 
 def _assignment_rows(gene_ids, result, k):
-    """CSV body rows of (gene_id, cluster, membership_kind), gene order first."""
+    """CSV body rows (gene_id, cluster, membership_kind) of an engine result, gene order first."""
     if isinstance(result, CrispClustering):
         lower, upper = result.assignment, np.eye(k, dtype=bool)[result.assignment]
     else:
         lower, upper = _rough_masks(result, len(gene_ids), k)
-    lower, pairs = lower.tolist(), zip(*(index.tolist() for index in np.nonzero(upper)))
+    lower = lower.tolist()
+    pairs = zip(*(index.tolist() for index in np.nonzero(upper)))
     return [(gene_ids[i], h, "lower" if lower[i] == h else "boundary") for i, h in pairs]
 
 

@@ -140,22 +140,6 @@ class TestRunExperiment:
         matrix_path, labels_path, _ = small_dataset
         out = tmp_path / "out"
         with caplog.at_level(logging.INFO, logger="genecluster"):
-            run_experiment(make_config(matrix_path, labels_path, out))
-        stages = [
-            rec.message.split(":")[0].removeprefix("stage ").strip()
-            for rec in caplog.records
-            if rec.message.startswith("stage ")
-        ]
-        assert stages[0] == "ingest"
-        assert stages[1] == "filter"
-        assert stages[2] == "fuzzify"
-        assert stages[-1] == "report"
-        assert stages.index("fuzzify") < stages.index("cluster")
-
-    def test_stage_lines_exactly(self, small_dataset, tmp_path, caplog):
-        matrix_path, labels_path, _ = small_dataset
-        out = tmp_path / "out"
-        with caplog.at_level(logging.INFO, logger="genecluster"):
             run_experiment(make_config(matrix_path, labels_path, out, restarts=2))
         bins = DiscretizationSpec.sturges(6).bin_count
         assert [rec.message for rec in caplog.records if rec.message.startswith("stage ")] == [
