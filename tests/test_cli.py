@@ -284,13 +284,19 @@ class TestRunExperiment:
             "ranking.csv", "ranking.csv.tmp", "report.csv", "report.json",
         ])
 
-    def test_epsilon_invalid_for_engine_is_stage_tagged(self, small_dataset, tmp_path):
+    def test_epsilon_invalid_for_engine_is_stage_tagged(self, small_dataset, tmp_path, caplog):
         matrix_path, labels_path, _ = small_dataset
-        config = make_config(matrix_path, labels_path, tmp_path / "out",
-                             algorithms=("rough",), epsilon=0.5)
-        with pytest.raises(PipelineError) as err:
-            run_experiment(config)
-        assert err.value.stage == "cluster"
+        out = tmp_path / "out"
+        for algorithm, epsilon, rule in (("rough", 0.5, "distance-ratio epsilon must be >= 1"),
+                                         ("fsrk", 1.5, "similarity-ratio epsilon must be in")):
+            config = make_config(matrix_path, labels_path, out,
+                                 algorithms=(algorithm,), epsilon=epsilon)
+            with caplog.at_level(logging.INFO, logger="genecluster"):
+                with pytest.raises(PipelineError) as err:
+                    run_experiment(config)
+            assert str(err.value).startswith(f"[startup] {rule}")
+        assert not any(rec.message.startswith("stage ") for rec in caplog.records)
+        assert not out.exists()
 
     def test_nan_epsilon_is_stage_tagged(self, small_dataset, tmp_path):
         matrix_path, labels_path, _ = small_dataset
@@ -299,13 +305,25 @@ class TestRunExperiment:
                              algorithms=("rough",), epsilon=float("nan"))
         with pytest.raises(PipelineError) as err:
             run_experiment(config)
-        assert err.value.stage == "cluster"
+        assert err.value.stage == "startup"
         assert not out.exists()
+
+    def test_epsilon_one_is_echoed_by_both_rough_engines(self, small_dataset, tmp_path):
+        # 1.0 is the one epsilon inside both the distance and the similarity range
+        matrix_path, labels_path, _ = small_dataset
+        out = tmp_path / "out"
+        run_experiment(make_config(matrix_path, labels_path, out, epsilon=1.0))
+        rows = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert {r["algorithm"]: r["params"]["epsilon"] for r in rows} == {
+            "kmeans": None, "rough": 1.0, "fsrk": 1.0,
+        }
 
     @pytest.mark.parametrize("key, value", [
         ("k", 0), ("w_lower", 0.9), ("tol", -1.0), ("max_iter", 0), ("bins", -1), ("bins", 0),
         ("seed", -1), ("k", 2.5), ("max_iter", 2.5), ("restarts", 0), ("fuzzify", "x"),
         ("algorithms", ()), ("restarts", 2.5), ("bins", 2.5),
+        # under all three algorithms only epsilon = 1.0 fits both rough and fsrk
+        ("epsilon", 0.5), ("epsilon", 1.5), ("epsilon", float("nan")),
     ])
     def test_bad_parameters_fail_at_startup(self, small_dataset, tmp_path, caplog, key, value):
         matrix_path, labels_path, _ = small_dataset
@@ -643,16 +661,36 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["--matrix", str(matrix_path), "--labels", str(labels_path),
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: [ingest] not UTF-8 text: byte 0xff on line 1\n"
+        assert capsys.readouterr().err == (
+            f"error: [ingest] {path}: not UTF-8 text: byte 0xff on line 1\n")
         assert not out.exists()
 
-    def test_out_naming_a_file_is_a_report_error(self, small_dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("which, line, message", [
+        ("matrix", "g12\t1.0\n", "row 13: expected 7 fields, found 2"),
+        ("labels", "s9\tA\tB\n", "row 7: expected 2 fields (sample id, class), found 3"),
+    ], ids=["matrix", "labels"])
+    def test_input_row_error_names_its_file(self, small_dataset, tmp_path, capsys, caplog,
+                                            which, line, message):
+        matrix_path, labels_path, _ = small_dataset
+        path = {"matrix": matrix_path, "labels": labels_path}[which]
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line)
+        out = tmp_path / "out"
+        with caplog.at_level(logging.INFO, logger="genecluster"):
+            assert main(["--matrix", str(matrix_path), "--labels", str(labels_path),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [ingest] {path}: {message}\n"
+        assert [rec.message for rec in caplog.records if rec.message.startswith("stage ")] == [
+            f"stage ingest: {matrix_path} + {labels_path}"]
+        assert not out.exists()
+
+    def test_out_naming_a_file_is_a_startup_error(self, small_dataset, tmp_path, capsys):
         matrix_path, labels_path, _ = small_dataset
         out = tmp_path / "out"
         out.write_text("not a directory\n", encoding="utf-8")
         assert main(["--matrix", str(matrix_path), "--labels", str(labels_path),
                      "--out", str(out), "--top-genes", "8", "--algorithm", "kmeans"]) == 1
-        assert capsys.readouterr().err == f"error: [report] [Errno 17] File exists: '{out}'\n"
+        assert capsys.readouterr().err == f"error: [startup] out is not a directory: {out}\n"
         assert out.read_text(encoding="utf-8") == "not a directory\n"
 
     def test_missing_required_keys(self, capsys):

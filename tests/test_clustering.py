@@ -7,6 +7,8 @@ import pytest
 import oracles
 from genecluster import cli, clustering
 from genecluster.clustering import (
+    DEFAULT_FSRK_EPSILON,
+    DEFAULT_ROUGH_EPSILON,
     CrispClustering,
     RoughParams,
     fsrk_assign,
@@ -201,6 +203,13 @@ class TestRoughAssign:
     def test_epsilon_below_one_rejected(self):
         with pytest.raises(ParameterError):
             rough_assign([[1.0]], [[0.0]], epsilon=0.9)
+
+    def test_none_epsilon_takes_the_default(self):
+        # gene 0's distance ratio 4.8 / 4.2 puts it in the boundary at 1.2, not at 1.0
+        data, centroids = [[4.2], [1.0], [8.5]], [[0.0], [9.0]]
+        sets = rough_assign(data, centroids, None)
+        assert sets == rough_assign(data, centroids, DEFAULT_ROUGH_EPSILON)
+        assert sets != rough_assign(data, centroids, 1.0)
 
 
 class TestRoughCentroids:
@@ -441,6 +450,13 @@ class TestFsrkAssign:
                 assert all(i in upper[h] for h in cands)
                 assert all(i not in lower[h] for h in range(4))
         assert_rough_axioms(lower, upper, len(genes))
+
+    def test_none_epsilon_takes_the_default(self):
+        rng = np.random.default_rng(3)
+        genes, centroids = rng.uniform(size=(40, 3)), rng.uniform(size=(4, 3))
+        sets = fsrk_assign(genes, centroids, None)
+        assert sets == fsrk_assign(genes, centroids, DEFAULT_FSRK_EPSILON)
+        assert sets != fsrk_assign(genes, centroids, 1.0)
 
     def test_epsilon_out_of_range(self):
         with pytest.raises(ParameterError):

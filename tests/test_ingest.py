@@ -152,6 +152,17 @@ class TestByteOrderMark:
         labels = parse_labels(labels_path, m)
         assert labels.labels == {"s0": "ALL", "s1": "AML"}
 
+    @pytest.mark.parametrize("header", ["s0\ts1", '"s0"\ts1'], ids=["plain", "quoted"])
+    def test_bom_at_the_start_of_a_text_stream(self, header):
+        m = parse_matrix(io.StringIO(f"\ufeff{header}\ng1\t1\t2\n"))
+        assert m.sample_ids == ("s0", "s1")
+        labels = parse_labels(io.StringIO("\ufeffs0\tALL\ns1\tAML\n"), m)
+        assert labels.labels == {"s0": "ALL", "s1": "AML"}
+
+    def test_only_one_bom_is_dropped_from_a_text_stream(self):
+        m = parse_matrix(io.StringIO("\ufeff\ufeffs0\ts1\ng1\t1\t2\n"))
+        assert m.sample_ids == ("\ufeffs0", "s1")
+
 
 class TestNotUtf8:
     """Text that is not UTF-8 is a ParseError naming the line of its first bad byte."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from genecluster.clustering import RoughClustering, RoughParams, kmeans
+from genecluster.clustering import RoughClustering, RoughParams, fsrk_kmeans, kmeans, rough_kmeans
 from genecluster.errors import (
     DegenerateClusteringError,
     DomainError,
@@ -313,6 +313,15 @@ class TestCrispify:
         )
         with pytest.raises(DomainError):
             crispify(rough, np.array([[0.0], [bad]]), metric=metric)
+
+    @pytest.mark.parametrize("rows", [50, 70])
+    @pytest.mark.parametrize("engine, metric", [(rough_kmeans, "distance"),
+                                                (fsrk_kmeans, "similarity")])
+    def test_engine_result_against_another_row_count_rejected(self, engine, metric, rows):
+        data = np.random.default_rng(0).uniform(size=(70, 3))
+        rough = engine(data[:60], RoughParams(k=3, seed=0))
+        with pytest.raises(ShapeError, match=f"^60 clustered genes vs {rows} data rows$"):
+            crispify(rough, data[:rows], metric=metric)
 
     def test_bad_metric(self):
         rough = RoughClustering(
