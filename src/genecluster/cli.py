@@ -1,15 +1,16 @@
 """End-to-end pipeline runner and command-line front end.
 
 ``run_experiment`` runs its stages in a fixed order, each as one ``_stage``
-block that logs its ``stage <name>: ...`` line and tags a library or OS error
-raised in it ``[<name>]``. startup (no line) checks every setting that needs
-no input, all but top_genes (checked in filter as an integer from 1 to the
-gene count) and epsilon (checked per engine in cluster), and builds the run's
-one ``RoughParams``. ingest reads the matrix and labels; filter keeps the
-top_genes by information gain; fuzzify runs only when fsrk is requested.
-Then, per algorithm, cluster runs ``restarts`` times on that ``RoughParams``
-with the engine's epsilon and seeds seed, seed+1, ...: kmeans and rough on
-the filtered raw-valued matrix, fsrk on the fuzzified one. Each restart's DB
+block that logs its ``stage <name>: ...`` line and tags a library or OS
+error raised in it ``[<name>]``. startup (no line) checks every setting that
+needs no input, epsilon by each engine's own rule, and builds each
+algorithm's ``RoughParams``; only top_genes (1 to the gene count, in filter)
+and k <= rows (in cluster) wait for the matrix. ingest reads the matrix and
+labels, a library error led by its file's path; filter keeps the top_genes
+by information gain; fuzzify runs only when fsrk is requested. Then, per
+algorithm, cluster runs ``restarts`` times on its ``RoughParams`` with seeds
+seed, seed+1, ...: kmeans and rough on the filtered raw-valued matrix, fsrk
+on the fuzzified one. Each restart's DB
 index is a validate line. The lowest (the earliest on ties) wins, and
 validate scores it alone by XB index and SSE. report writes report.csv,
 report.json (each row's run fields plus restart, top_genes, bins and
@@ -34,11 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import (
-    DEFAULT_FSRK_EPSILON,
-    DEFAULT_ROUGH_EPSILON,
     CrispClustering,
     RoughParams,
+    _distance_epsilon,
     _rough_masks,
+    _similarity_epsilon,
     fsrk_kmeans,
     kmeans,
     rough_kmeans,
@@ -55,7 +56,7 @@ __all__ = ["ExperimentConfig", "run_experiment", "compare", "main"]
 log = logging.getLogger("genecluster")
 
 ALGORITHMS = ("kmeans", "rough", "fsrk")
-_DEFAULT_EPSILON = {"rough": DEFAULT_ROUGH_EPSILON, "fsrk": DEFAULT_FSRK_EPSILON}
+_EPSILON = {"kmeans": lambda _: None, "rough": _distance_epsilon, "fsrk": _similarity_epsilon}
 
 
 @dataclass
@@ -83,8 +84,8 @@ class ExperimentConfig:
         self.out = Path(self.out)
         self.algorithms = tuple(self.algorithms)
 
-    def validate(self) -> RoughParams:
-        """Check the settings that need no input; return the run's engine parameters."""
+    def validate(self) -> dict[str, RoughParams]:
+        """Check the settings that need no input; return each algorithm's engine parameters."""
         for name, path in (("matrix", self.matrix), ("labels", self.labels)):
             if not path.is_file():
                 raise PipelineError("startup", f"{name} file not found: {path}")
@@ -99,7 +100,10 @@ class ExperimentConfig:
         _check_integer("restarts", self.restarts, 1)
         if self.bins is not None:
             DiscretizationSpec(self.bins)
-        return RoughParams(**{f.name: getattr(self, f.name) for f in fields(RoughParams)})
+        if self.out.exists() and not self.out.is_dir():
+            raise PipelineError("startup", f"out is not a directory: {self.out}")
+        params = RoughParams(**{f.name: getattr(self, f.name) for f in fields(RoughParams)})
+        return {a: replace(params, epsilon=_EPSILON[a](self.epsilon)) for a in self.algorithms}
 
     @property
     def dataset_tag(self) -> str:
@@ -123,11 +127,9 @@ def _stage(name, message=None, *args):
 def _best_restart(config, params, algorithm, data):
     """(db, restart, run params, crisp assignment, result) of the restart with
     the lowest DB index, the earliest on ties; unscorable restarts are skipped."""
-    epsilon = None if algorithm == "kmeans" else (
-        _DEFAULT_EPSILON[algorithm] if config.epsilon is None else config.epsilon)
     best = None
     for restart in range(config.restarts):
-        run = replace(params, epsilon=epsilon, seed=config.seed + restart)
+        run = replace(params, seed=config.seed + restart)
         if algorithm == "kmeans":
             result = kmeans(data, run)
             crisp = result.assignment
@@ -147,6 +149,14 @@ def _best_restart(config, params, algorithm, data):
         raise PipelineError(
             "validate", f"no scorable {algorithm} clustering in {config.restarts} restart(s)")
     return best
+
+
+def _parse(parse, path, *args):
+    """``parse(path, *args)``, an error from the library tagged ``[ingest] <path>:``."""
+    try:
+        return parse(path, *args)
+    except GeneClusterError as exc:
+        raise PipelineError("ingest", f"{path}: {exc}") from exc
 
 
 def _assignment_rows(gene_ids, result, k):
@@ -185,8 +195,8 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
     with _stage("startup"):
         params = config.validate()
     with _stage("ingest", "%s + %s", config.matrix, config.labels):
-        matrix = parse_matrix(config.matrix)
-        labels = parse_labels(config.labels, matrix)
+        matrix = _parse(parse_matrix, config.matrix)
+        labels = _parse(parse_labels, config.labels, matrix)
 
     spec = (DiscretizationSpec.sturges(matrix.n_samples) if config.bins is None
             else DiscretizationSpec(config.bins))
@@ -204,7 +214,8 @@ def run_experiment(config: ExperimentConfig) -> list[ValidityReport]:
     for algorithm in config.algorithms:
         data = fuzzy if algorithm == "fsrk" else filtered
         with _stage("cluster", "%s, k=%d, %d restart(s)", algorithm, config.k, config.restarts):
-            db, restart, run, crisp, result = _best_restart(config, params, algorithm, data)
+            db, restart, run, crisp, result = _best_restart(
+                config, params[algorithm], algorithm, data)
         # xb_index makes db_index's checks, so it cannot fail on the restart db_index scored
         with _stage("validate"):
             reports.append(ValidityReport(

@@ -101,13 +101,15 @@ def _check_seed(seed):
         _check_integer("seed", seed, 0)
 
 
-def _distance_epsilon(epsilon: float) -> float:
+def _distance_epsilon(epsilon: float | None) -> float:
+    epsilon = DEFAULT_ROUGH_EPSILON if epsilon is None else epsilon
     if not epsilon >= 1.0:
         raise ParameterError(f"distance-ratio epsilon must be >= 1, got {epsilon}")
     return epsilon
 
 
-def _similarity_epsilon(epsilon: float) -> float:
+def _similarity_epsilon(epsilon: float | None) -> float:
+    epsilon = DEFAULT_FSRK_EPSILON if epsilon is None else epsilon
     if not 0.0 < epsilon <= 1.0:
         raise ParameterError(f"similarity-ratio epsilon must be in (0, 1], got {epsilon}")
     return epsilon
@@ -548,11 +550,13 @@ def _to_masks(lower_sets, upper_sets, n) -> tuple[np.ndarray, np.ndarray]:
 def _rough_masks(rough, n, k) -> tuple[np.ndarray, np.ndarray]:
     """Lower index and (n, k) upper mask of a RoughClustering of n genes, as
     arrays the caller may change. An engine's result gives copies of its own
-    masks. Any other has its sets checked: a number of clusters other than
-    the k centroids raises ShapeError, and so does whatever ``_to_masks``
-    refuses."""
+    masks, or raises ShapeError when it clustered other than n genes. Any
+    other has its sets checked: a number of clusters other than the k
+    centroids raises ShapeError, and so does whatever ``_to_masks`` refuses."""
     masks = getattr(rough, "_masks", None)
-    if masks is not None and len(masks[0]) == n:
+    if masks is not None:
+        if len(masks[0]) != n:
+            raise ShapeError(f"{len(masks[0])} clustered genes vs {n} data rows")
         return masks[0].copy(), masks[1].copy()
     if len(rough.upper) != k:
         raise ShapeError(f"{k} centroids vs {len(rough.upper)} clusters")
@@ -653,15 +657,15 @@ def kmeans(data, params: RoughParams, initial_centroids=None) -> CrispClustering
                    iterations=iterations, converged=converged, _data=data)
 
 
-def rough_assign(data, centroids, epsilon: float) -> tuple[tuple, tuple]:
+def rough_assign(data, centroids, epsilon: float | None) -> tuple[tuple, tuple]:
     """Distance-ratio assignment into lower/upper approximations.
 
     For each gene, the clusters with d(X_i, Z_h) / d_best <= epsilon beyond
     the unique best one form the candidate set; a lone candidate is a crisp
     (lower) assignment, several candidates all receive the gene in their
-    upper sets. A gene sitting exactly on a centroid is crisp there.
+    upper sets. A gene on a centroid is crisp there. None takes DEFAULT_ROUGH_EPSILON.
     """
-    _distance_epsilon(epsilon)
+    epsilon = _distance_epsilon(epsilon)
     return _to_sets(*_DistanceRule.plain(*_as_finite_pair(data, centroids), epsilon))
 
 
@@ -700,19 +704,18 @@ def rough_kmeans(data, params: RoughParams, initial_centroids=None,
     ``on_iteration(iteration, lower, upper, centroids)``, when given, is
     called after every assignment pass with the centroids it used.
     """
-    epsilon = _distance_epsilon(
-        DEFAULT_ROUGH_EPSILON if params.epsilon is None else params.epsilon)
+    epsilon = _distance_epsilon(params.epsilon)
     return _rough_result(_engine(data, params, _DistanceRule, epsilon,
                                  initial_centroids, on_iteration))
 
 
-def fsrk_assign(memberships, centroids, epsilon: float) -> tuple[tuple, tuple]:
+def fsrk_assign(memberships, centroids, epsilon: float | None) -> tuple[tuple, tuple]:
     """Similarity-ratio assignment into lower/upper approximations.
 
     Mirrors the distance rule in similarity space: candidates are clusters
-    with S_h / S_best >= epsilon beyond the unique best-similarity one.
+    with S_h / S_best >= epsilon beyond the unique best one. None takes DEFAULT_FSRK_EPSILON.
     """
-    _similarity_epsilon(epsilon)
+    epsilon = _similarity_epsilon(epsilon)
     M, Z = _as_finite_pair(memberships, centroids)
     _check_unit_interval(Z, "fsrk centroids")
     return _to_sets(*_SimilarityRule.plain(M, Z, epsilon))
@@ -729,7 +732,6 @@ def fsrk_kmeans(memberships, params: RoughParams, initial_centroids=None,
     _check_unit_interval(M, "fsrk input must be fuzzified")
     if initial_centroids is not None:
         _check_unit_interval(_as_matrix(initial_centroids), "fsrk centroids")
-    epsilon = _similarity_epsilon(
-        DEFAULT_FSRK_EPSILON if params.epsilon is None else params.epsilon)
+    epsilon = _similarity_epsilon(params.epsilon)
     return _rough_result(_engine(M, params, _SimilarityRule, epsilon,
                                  initial_centroids, on_iteration))

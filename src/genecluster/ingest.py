@@ -13,11 +13,11 @@ body rows. An id holding the delimiter, a double quote or a line break is
 quoted CSV-style (``"HLA-DRB1,3"``, ``"a""b"``), as :func:`write_matrix`
 writes it. Label files are two columns per record, ``sample_id <delim>
 class``, quoted the same way.
-Both UTF-8 (with or without a byte-order mark) with LF or CRLF line endings
-are accepted; lines end at LF, CRLF or CR only. Text that is not UTF-8 is a
-ParseError naming the line of its first bad byte. Missing or non-numeric
-cells are rejected rather than imputed, since every downstream computation
-assumes complete data.
+Both UTF-8 (with or without a byte-order mark, which an open text stream may
+begin with too) with LF or CRLF line endings are accepted; lines end at LF,
+CRLF or CR only. Text that is not UTF-8 is a ParseError naming the line of
+its first bad byte. Missing or non-numeric cells are rejected rather than
+imputed, since every downstream computation assumes complete data.
 
 A matrix file holding no double quote is read in one numpy pass
 (``np.loadtxt``). Any input that pass has a doubt about (a ragged or blank
@@ -99,6 +99,7 @@ def _decode(data: bytes) -> str:
 def _read_lines(source, delimiter: str | None) -> tuple[list[str], str, bool]:
     """The lines of a path or an open text stream, their delimiter, and whether they hold a quote.
 
+    Either source loses one leading byte-order mark, as :func:`_decode` drops it.
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, as ``io.StringIO(text,
     newline="")`` splits them; ``str.splitlines`` would also break at
     characters such as ``\\x0c`` or ``\\u2028``, which the ``csv`` module
@@ -108,7 +109,7 @@ def _read_lines(source, delimiter: str | None) -> tuple[list[str], str, bool]:
     sniffed from the first line.
     """
     if hasattr(source, "read"):
-        text = source.read()
+        text = source.read().removeprefix("\ufeff")
     else:
         with open(source, "rb") as fh:
             text = _decode(fh.read())
